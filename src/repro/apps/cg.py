@@ -228,8 +228,7 @@ class _CGBase:
     def run(self) -> CGResult:
         self.setup()
         for rank in range(self.config.num_gpus):
-            self.ctx.sim.spawn(self.host_program(rank), name=f"{self.name}.host{rank}",
-                               shard=self.ctx.domain_of(rank))
+            self.ctx.sim.spawn(self.host_program(rank), name=f"{self.name}.host{rank}")
         total = self.ctx.run()
         return CGResult(
             variant=self.name,

@@ -69,8 +69,7 @@ class RailLink:
     the rail remembers when each accepted transfer finishes and charges
     every new transfer ``1 + in-flight`` effective sharers at issue
     time.  Occupancy depends only on issue order, which the simulator
-    makes deterministic, so sharded and flat dispatch price transfers
-    identically.
+    makes deterministic.
     """
 
     __slots__ = ("bandwidth_gbps", "latency_us", "_clock", "_busy_until")

@@ -70,19 +70,10 @@ class NVSHMEMRuntime:
         # point-to-point ordering through link-level retry).  Each
         # channel is an issue counter plus a "last completed seq" flag
         # that delivery legs wait on before applying their effects.
-        # Channel maps (and the coalescing batch map below) are sharded
-        # by the source PE's NVSwitch domain: at 256+ PEs a single dict
-        # churning with every route's keys is the hot allocation site,
-        # and per-domain maps keep each one small.  Flat nodes get one
-        # shard, which is byte-identical to the old single dict.
+        self._chan_issue: dict[tuple[int, int], int] = {}
+        self._chan_done: dict[tuple[int, int], Flag] = {}
+        #: NVSwitch domain of each PE (teams split along it)
         self._dom = [ctx.topology.domain_of(pe) for pe in range(self.n_pes)]
-        self._n_domains = ctx.topology.num_domains
-        self._chan_issue: list[dict[tuple[int, int], int]] = [
-            {} for _ in range(self._n_domains)
-        ]
-        self._chan_done: list[dict[tuple[int, int], Flag]] = [
-            {} for _ in range(self._n_domains)
-        ]
         # Op/wait accounting accumulated as plain slots shared by every
         # NVSHMEMDevice handle (handles are created per kernel body) and
         # folded into the registry by flush_metrics() — registry lookups
@@ -98,11 +89,8 @@ class NVSHMEMRuntime:
         # instead of spawning one generator each; a single callback
         # event applies the whole batch at arrival (see
         # ``_deliver_batch`` for the per-leg bookkeeping, which mirrors
-        # the generator path op for op).  Sharded per source domain —
-        # see the channel maps above.
-        self._batches: list[dict[tuple[int, int, float], list]] = [
-            {} for _ in range(self._n_domains)
-        ]
+        # the generator path op for op).
+        self._batches: dict[tuple[int, int, float], list] = {}
         # Teams (``nvshmemx_team_split_strided`` surface): the world
         # team plus lazily built per-domain and cross-domain splits.
         self._team_world: Team | None = None
@@ -151,14 +139,13 @@ class NVSHMEMRuntime:
         and return it with the channel's completion flag (fault-mode
         FIFO ordering — see ``_chan_issue`` above)."""
         key = (src, dst)
-        shard = self._dom[src]
-        done = self._chan_done[shard].get(key)
+        done = self._chan_done.get(key)
         if done is None:
-            done = self._chan_done[shard][key] = Flag(
+            done = self._chan_done[key] = Flag(
                 self.ctx.sim, 0, name=f"nvshmem.chan.pe{src}->pe{dst}"
             )
-        seq = self._chan_issue[shard].get(key, 0) + 1
-        self._chan_issue[shard][key] = seq
+        seq = self._chan_issue.get(key, 0) + 1
+        self._chan_issue[key] = seq
         return seq, done
 
     def enqueue_coalesced(
@@ -194,7 +181,7 @@ class NVSHMEMRuntime:
         # changes results, so the demuxed output is unaffected).
         key = (src, dst,
                arrival.v if isinstance(arrival, Stacked) else arrival)
-        batches = self._batches[self._dom[src]]
+        batches = self._batches
         batch = batches.get(key)
         leg = (write, signal, name, flow, signal_index, sim.now)
         if batch is None:
@@ -222,7 +209,7 @@ class NVSHMEMRuntime:
         back-to-back within the timestep.
         """
         src, dst, _ = key
-        batch = self._batches[self._dom[src]].pop(key)
+        batch = self._batches.pop(key)
         ctx = self.ctx
         sim = ctx.sim
         pending = self._pending[src]
@@ -385,7 +372,7 @@ class NVSHMEMRuntime:
     @property
     def hierarchical(self) -> bool:
         """True when the PEs span more than one NVSwitch domain."""
-        return self._n_domains > 1
+        return self.ctx.topology.num_domains > 1
 
     @property
     def team_world(self) -> Team:

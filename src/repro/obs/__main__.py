@@ -83,10 +83,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                           "the hierarchical multi-node topology (N-GPU "
                           "domains joined by NIC rails); default: the "
                           "node preset's full size")
-    sub.add_argument("--no-shard", action="store_true",
-                     help="keep the flat single-heap calendar even on a "
-                          "hierarchical topology (A/B check: results are "
-                          "byte-identical to sharded dispatch)")
     sub.add_argument("--sanitize", action="store_true",
                      help="attach the happens-before race detector "
                           "(repro.sanitize); findings are printed, added to "
@@ -117,8 +113,6 @@ def _run_variant(args: argparse.Namespace):
                 num_gpus=min(args.domain_gpus, args.gpus),
                 nvswitch_domain_gpus=args.domain_gpus,
             )
-        if args.no_shard:
-            extra["shard_scheduler"] = False
         config = StencilConfig(
             global_shape=args.shape,
             num_gpus=args.gpus,
@@ -163,8 +157,6 @@ def _run_meta(args: argparse.Namespace) -> dict:
     # run block (and the goldens pinning it) stays byte-identical
     if args.domain_gpus is not None:
         meta["domain_gpus"] = args.domain_gpus
-    if args.no_shard:
-        meta["no_shard"] = True
     return meta
 
 

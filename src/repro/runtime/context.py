@@ -51,7 +51,6 @@ class MultiGPUContext:
         metrics: "MetricsRegistry | None" = None,
         faults: Any = None,
         coalesce_comm: bool = True,
-        shard_scheduler: bool | None = None,
     ) -> None:
         self.node = node
         self.cost = cost
@@ -61,14 +60,6 @@ class MultiGPUContext:
         self.topology = build_topology(node)
         #: rail occupancy is priced against the sim clock
         self.topology.sim = self.sim
-        #: sharded calendar dispatch: one lane per NVSwitch domain.
-        #: None = auto (shard iff hierarchical); False forces the flat
-        #: calendar for A/B determinism checks.  Dispatch order — and
-        #: therefore every metric and trace — is identical either way.
-        if shard_scheduler is None:
-            shard_scheduler = self.topology.num_domains > 1
-        if shard_scheduler and self.topology.num_domains > 1:
-            self.sim.enable_sharding(self.topology.num_domains)
         self.memory = MemoryManager(node.num_gpus)
         self.tracer = tracer
         #: observability registry — explicit, or the ambient one
@@ -99,11 +90,6 @@ class MultiGPUContext:
     @property
     def num_gpus(self) -> int:
         return self.node.num_gpus
-
-    def domain_of(self, rank: int) -> int:
-        """NVSwitch domain of ``rank`` — the calendar lane its host and
-        device processes should be spawned on (0 on a flat node)."""
-        return self.topology.domain_of(rank)
 
     # -- resources -------------------------------------------------------------
 

@@ -322,7 +322,7 @@ class Process:
         "sim", "gen", "name", "alive", "result", "error", "_joiners",
         "_waiting_on", "_waiting_flag", "_waiting_join", "_blocked_since",
         "_timeout", "_spawn_site", "_wait_epoch", "_finish_time",
-        "_blocked_seq", "shard",
+        "_blocked_seq",
     )
 
     def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any], name: str,
@@ -331,9 +331,6 @@ class Process:
         self.gen = gen
         self.name = name
         self.alive = True
-        #: calendar lane under sharded dispatch (inherited at spawn);
-        #: purely a queue-balancing hint — never affects event order
-        self.shard = 0
         self.result: Any = None
         self.error: BaseException | None = None
         self._joiners: list[Process] = []
@@ -760,69 +757,23 @@ class Simulator:
         #: joint program-order counter shared by flag mutations and
         #: blocking waits — breaks member-time ties in wakeup accounting
         self._order_seq = 0
-        #: sharded calendar (enable_sharding): number of lanes and the
-        #: per-lane timestamp heaps / bucket dicts.  0 = flat calendar.
-        self._n_shards = 0
-        self._lane_times: list[list[float]] | None = None
-        self._lane_buckets: list[dict] | None = None
         #: finished/killed processes awaiting compaction of _processes
         self._n_dead = 0
 
     # -- process management -------------------------------------------------
 
-    def spawn(self, gen: Generator[Any, Any, Any], name: str = "proc", *,
-              shard: int | None = None) -> Process:
-        """Register ``gen`` as a process and schedule its first step now.
-
-        ``shard`` pins the process to a calendar lane under sharded
-        dispatch (default: inherit the spawning process's lane; lane 0
-        from setup code).  The lane is a load-balancing hint only —
-        dispatch order is the global ``(time, seq)`` order either way.
-        """
+    def spawn(self, gen: Generator[Any, Any, Any], name: str = "proc") -> Process:
+        """Register ``gen`` as a process and schedule its first step now."""
         if not isinstance(gen, Generator):
             raise TypeError(f"spawn() needs a generator, got {type(gen).__name__}")
         frame = sys._getframe(1)
         proc = Process(self, gen, name, (frame.f_code.co_filename, frame.f_lineno))
-        if shard is not None:
-            if self._n_shards and not 0 <= shard < self._n_shards:
-                raise ValueError(f"shard {shard} out of range "
-                                 f"(n_shards={self._n_shards})")
-            proc.shard = shard if self._n_shards else 0
-        elif self.current is not None:
-            proc.shard = self.current.shard
         self._processes.append(proc)
         self.n_spawned += 1
         if self.monitor is not None:
             self.monitor.spawned(proc, self.current)
         self._push(self.now, proc, None)
         return proc
-
-    def enable_sharding(self, n_shards: int) -> None:
-        """Partition the calendar into ``n_shards`` per-domain lanes.
-
-        Each lane keeps its own timestamp heap and bucket dict, so at
-        256+ PEs no single heap holds every pending timestamp; the
-        dispatch loop merges lane heads by ``(time, seq)``.  The merge
-        is *provably* order-identical to the flat calendar: within a
-        lane the head bucket entry is the lane's minimal ``(time,
-        seq)``, the sequence counter stays global, and the ready queue
-        is shared — so the minimum over lane heads is the same event
-        the flat heap would pop, and every run is byte-identical to
-        unsharded dispatch.
-
-        Call before :meth:`run`; events already scheduled (setup-time
-        spawns, fault timers) stay in lane 0, which is always correct —
-        lanes only balance queue sizes.
-        """
-        if n_shards < 2:
-            raise ValueError("n_shards must be >= 2")
-        if self._n_shards:
-            raise SimulationError("sharding already enabled")
-        self._n_shards = n_shards
-        # Lane 0 aliases the flat structures so pre-enable events keep
-        # their ordering without a migration pass.
-        self._lane_times = [self._times] + [[] for _ in range(n_shards - 1)]
-        self._lane_buckets = [self._buckets] + [{} for _ in range(n_shards - 1)]
 
     def flag(self, value: int = 0, name: str = "flag") -> Flag:
         """Convenience constructor for a :class:`Flag` bound to this sim."""
@@ -852,21 +803,10 @@ class Simulator:
             # the ready queue sorted by (time, seq) for free.
             self._ready.append(entry)
             return
-        if self._n_shards:
-            # Route to the owner's lane (callbacks: the scheduling
-            # process's lane).  Any lane would be *correct* — dispatch
-            # merges by (time, seq) — this just keeps lanes balanced.
-            owner = proc if proc is not None else self.current
-            lane = owner.shard if owner is not None else 0
-            buckets = self._lane_buckets[lane]
-            times = self._lane_times[lane]
-        else:
-            buckets = self._buckets
-            times = self._times
-        bucket = buckets.get(t)
+        bucket = self._buckets.get(t)
         if bucket is None:
-            buckets[t] = deque((entry,))
-            heappush(times, t)
+            self._buckets[t] = deque((entry,))
+            heappush(self._times, t)
         else:
             bucket.append(entry)
 
@@ -897,13 +837,7 @@ class Simulator:
         dead tokens remains — i.e. the simulation still has work that
         justifies advancing time.  Linear, but only consulted when a
         weak callback surfaces at the head of the calendar."""
-        if self._n_shards:
-            queues: list = [self._ready]
-            for buckets in self._lane_buckets:
-                queues.extend(buckets.values())
-        else:
-            queues = (self._ready, *self._buckets.values())
-        for queue in queues:
+        for queue in (self._ready, *self._buckets.values()):
             for entry in queue:
                 proc = entry[2]
                 value = entry[3]
@@ -1011,8 +945,6 @@ class Simulator:
         if live processes remain blocked with no pending events, and
         re-raises the first exception of any failed process.
         """
-        if self._n_shards:
-            return self._run_sharded(until)
         times, buckets, ready = self._times, self._buckets, self._ready
         # Counters accumulate in locals (written back in the finally —
         # also on the until/exception exits) so the loop pays no
@@ -1079,6 +1011,13 @@ class Simulator:
                         break
                     value = value.fn
                 if until is not None and t_p > until:
+                    # Put the event back uncounted: its pop is counted
+                    # once, by the run that finally dispatches it.
+                    if proc is not None:
+                        if from_calendar:
+                            n_heap -= 1
+                        else:
+                            n_ready -= 1
                     bucket = buckets.get(t_p)
                     if bucket is None:
                         buckets[t_p] = deque((event,))
@@ -1143,150 +1082,7 @@ class Simulator:
             self.n_ready_pops += n_ready
             self.n_callbacks += n_call
             self.n_events += n_events
-        return self._drained()
-
-    def _run_sharded(self, until: float | None = None) -> float:
-        """Sharded twin of :meth:`run`: the calendar lives in per-lane
-        heaps/buckets and dispatch pops the lane whose head is globally
-        minimal by ``(time, seq)``.
-
-        Within a lane the head bucket's first entry is that lane's
-        minimal ``(time, seq)`` (buckets are seq-sorted FIFOs, the heap
-        orders distinct times), so the min over lane heads *is* the
-        global minimum — the exact event the flat heap would pop.  The
-        sequence counter and the ready queue are shared across lanes,
-        and the ready-vs-calendar merge rule is unchanged, so sharded
-        runs dispatch byte-identically to flat runs.  Kept separate so
-        the flat loop stays free of per-event lane scans.
-        """
-        lane_times = self._lane_times
-        lane_buckets = self._lane_buckets
-        ready = self._ready
-        n_heap = n_ready = n_call = n_events = 0
-        now_p = self.now
-        if now_p.__class__ is not float and isinstance(now_p, Stacked):
-            now_p = now_p.v[0]
-        try:
-            while True:
-                # Head selection: minimal (head time, head seq) over
-                # the non-empty lanes.
-                best = -1
-                best_t = 0.0
-                best_s = 0
-                for lane, times in enumerate(lane_times):
-                    if not times:
-                        continue
-                    t = times[0]
-                    if best < 0 or t < best_t:
-                        best = lane
-                        best_t = t
-                        best_s = lane_buckets[lane][t][0][1]
-                    elif t == best_t:
-                        s = lane_buckets[lane][t][0][1]
-                        if s < best_s:
-                            best = lane
-                            best_s = s
-                if best < 0 and not ready:
-                    break
-                # Same merge rule as the flat loop: ready events sit at
-                # self.now and postdate (in seq) any same-time bucket.
-                if best >= 0 and not (ready and best_t > now_p):
-                    times = lane_times[best]
-                    buckets = lane_buckets[best]
-                    time = best_t
-                    bucket = buckets[time]
-                    event = bucket.popleft()
-                    if not bucket:
-                        del buckets[time]
-                        heappop(times)
-                    time = event[0]
-                    from_calendar = True
-                else:
-                    event = ready.popleft()
-                    time = event[0]
-                    from_calendar = False
-                proc = event[2]
-                value = event[3]
-                t_p = (time if time.__class__ is float
-                       else time.v[0] if isinstance(time, Stacked) else time)
-                if proc is not None:
-                    if from_calendar:
-                        n_heap += 1
-                    else:
-                        n_ready += 1
-                    if not proc.alive:
-                        continue
-                    if value.__class__ is _TimeoutEntry and value.cancelled:
-                        continue
-                elif value.__class__ is _WeakCallback:
-                    if not self._any_strong():
-                        break
-                    value = value.fn
-                if until is not None and t_p > until:
-                    lane = best if from_calendar else 0
-                    buckets = lane_buckets[lane]
-                    bucket = buckets.get(t_p)
-                    if bucket is None:
-                        buckets[t_p] = deque((event,))
-                        heappush(lane_times[lane], t_p)
-                    else:
-                        bucket.appendleft(event)
-                    self.now = until
-                    return self.now
-                if t_p > now_p:
-                    wd = self.watchdog
-                    if wd is not None and wd._next_deadline < t_p:
-                        wd._check(self, time)
-                    self.now = time
-                    now_p = t_p
-                elif t_p < now_p - 1e-12:
-                    raise SimulationError("event scheduled in the past")
-                else:
-                    self.now = time
-                    now_p = t_p
-                if proc is None:
-                    n_call += 1
-                    value()
-                    continue
-                if value.__class__ is _TimeoutEntry:
-                    self._fire_timeout(proc, value)
-                    continue
-                if not proc.alive:  # joined process already finished
-                    continue
-                n_events += 1
-                self.current = proc
-                try:
-                    command = proc.gen.send(value)
-                except StopIteration as stop:
-                    self._finish(proc, stop.value, None)
-                    continue
-                except Exception as exc:
-                    self._finish(proc, None, exc)
-                    raise
-                cls = command.__class__
-                if cls is Delay:
-                    proc._waiting_on = command
-                    dt = command.dt
-                    if dt.__class__ is float:
-                        self._push(self.now + dt, proc, None)
-                    elif isinstance(dt, Stacked):
-                        self._push(dt.add_to_time(self.now), proc, None)
-                    else:  # plain int duration
-                        self._push(self.now + dt, proc, None)
-                elif cls is WaitFlag:
-                    self._wait_flag(proc, command)
-                else:
-                    self._dispatch(proc, command)
-        finally:
-            self.n_heap_pops += n_heap
-            self.n_ready_pops += n_ready
-            self.n_callbacks += n_call
-            self.n_events += n_events
-        return self._drained()
-
-    def _drained(self) -> float:
-        """Post-drain epilogue shared by the flat and sharded loops:
-        diagnose blocked survivors, else report the final time."""
+        # Drained: diagnose blocked survivors, else report the final time.
         alive_blocked = [p for p in self._processes if p.alive]
         if alive_blocked:
             report = self._wait_report(alive_blocked)

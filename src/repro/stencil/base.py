@@ -93,11 +93,6 @@ class StencilConfig:
         either way (enforced by property tests); the switch exists for
         A/B verification and rides in the config repr so both settings
         key distinct sweep-cache entries.
-    ``shard_scheduler``
-        Partition the engine calendar into per-NVSwitch-domain lanes
-        (hierarchical nodes only; results are byte-identical either
-        way — enforced by property tests).  ``None`` = shard whenever
-        the topology has more than one domain.
     """
 
     global_shape: tuple[int, ...]
@@ -111,7 +106,6 @@ class StencilConfig:
     seed: int = 2024
     fault_profile: str | None = None
     coalesce_comm: bool = True
-    shard_scheduler: bool | None = None
 
     def __post_init__(self) -> None:
         if self.iterations <= 0:
@@ -192,7 +186,6 @@ class StencilVariant(abc.ABC):
         self.ctx = MultiGPUContext(
             config.node.scaled_to(config.num_gpus), config.cost, self.tracer,
             faults=self.faults, coalesce_comm=config.coalesce_comm,
-            shard_scheduler=config.shard_scheduler,
         )
         self.nvshmem: NVSHMEMRuntime | None = (
             NVSHMEMRuntime(self.ctx) if self.uses_nvshmem else None
@@ -403,8 +396,7 @@ class StencilVariant(abc.ABC):
         """Set up, simulate all ranks, gather data and metrics."""
         self.setup()
         for rank in range(self.config.num_gpus):
-            self.ctx.sim.spawn(self.host_program(rank), name=f"{self.name}.host{rank}",
-                               shard=self.ctx.domain_of(rank))
+            self.ctx.sim.spawn(self.host_program(rank), name=f"{self.name}.host{rank}")
         total = self.ctx.run()
         m = self.ctx.metrics
         if m is not None:

@@ -158,8 +158,7 @@ def _run_batched_locked(
         variant.setup()
         for rank in range(cfg.num_gpus):
             sim.spawn(variant.host_program(rank),
-                      name=f"{variant.name}.host{rank}",
-                      shard=variant.ctx.domain_of(rank))
+                      name=f"{variant.name}.host{rank}")
         total = variant.ctx.run()
         # The joint clock ends on the *pilot's* last event; another
         # member's latest event may sit elsewhere, so fold every

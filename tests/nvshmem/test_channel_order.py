@@ -101,10 +101,9 @@ class TestInterleavedRetryOrdering:
     def test_chan_done_flag_counts_every_delivery(self):
         n = 5
         _, _, rt = self._burst(_retry_heavy_plan(seed=4), n_puts=n)
-        # channel maps are sharded by source domain; flat node -> shard 0
-        done = rt._chan_done[rt._dom[0]][(0, 1)]
+        done = rt._chan_done[(0, 1)]
         assert done.value == n
-        assert rt._chan_issue[rt._dom[0]][(0, 1)] == n
+        assert rt._chan_issue[(0, 1)] == n
 
     def test_fault_free_runs_allocate_no_channel_state(self):
         rt = NVSHMEMRuntime(MultiGPUContext(HGX_A100_8GPU.scaled_to(2),
@@ -118,8 +117,8 @@ class TestInterleavedRetryOrdering:
 
         rt.ctx.sim.spawn(pe0(), name="pe0")
         rt.ctx.run()
-        assert all(shard == {} for shard in rt._chan_issue)
-        assert all(shard == {} for shard in rt._chan_done)
+        assert rt._chan_issue == {}
+        assert rt._chan_done == {}
 
     def test_deterministic_across_reruns(self):
         runs = []

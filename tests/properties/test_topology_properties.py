@@ -1,22 +1,15 @@
-"""Property suites for the hierarchical topology and sharded dispatch.
+"""Property suite for the hierarchical topology.
 
-Two families:
-
-- **topology sanity** — for any hierarchical node shape and payload,
-  intra-domain transfers are never slower than inter-domain ones, and
-  a host-staged reroute never beats the direct rail path (it adds the
-  PCIe bounce on top of the same rail crossing);
-- **sharded-calendar determinism** — a two-domain stencil run must
-  produce byte-identical metrics and trace dumps whether the engine
-  dispatches from per-domain calendar lanes or the flat heap.
+Topology sanity: for any hierarchical node shape and payload,
+intra-domain transfers are never slower than inter-domain ones, and a
+host-staged reroute never beats the direct rail path (it adds the PCIe
+bounce on top of the same rail crossing).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import HGX_A100_8GPU, build_topology
-from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.stencil import StencilConfig, run_variant
 
 domain_sizes = st.sampled_from((2, 4, 8))
 domain_counts = st.integers(min_value=2, max_value=6)
@@ -70,25 +63,3 @@ class TestTopologySanity:
             seen.setdefault(topo.domain_of(dev), []).append(dev)
         assert sorted(seen) == list(range(domains))
         assert all(len(members) == domain for members in seen.values())
-
-
-def _stencil_dump(shard, *, gpus, iters, variant):
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        res = run_variant(variant, StencilConfig(
-            global_shape=(gpus * 4 + 2, 34), num_gpus=gpus, iterations=iters,
-            with_data=False, shard_scheduler=shard,
-        ))
-    spans = tuple((s.lane, s.name, s.category, s.start, s.end)
-                  for s in res.tracer.spans)
-    return res.total_time_us, registry.to_json(), spans
-
-
-class TestShardedCalendarDeterminism:
-    @given(st.sampled_from(("cpufree", "baseline_nvshmem", "cpufree_perks")),
-           st.integers(min_value=2, max_value=5))
-    @settings(max_examples=10, deadline=None)
-    def test_two_domain_runs_byte_identical(self, variant, iters):
-        sharded = _stencil_dump(True, gpus=16, iters=iters, variant=variant)
-        flat = _stencil_dump(False, gpus=16, iters=iters, variant=variant)
-        assert sharded == flat

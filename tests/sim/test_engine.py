@@ -274,18 +274,29 @@ def test_spawn_rejects_non_generator():
 
 
 def test_run_until_pauses_and_resumes():
-    sim = Simulator()
-    log = []
+    def build():
+        sim = Simulator()
+        log = []
 
-    def proc():
-        yield Delay(10.0)
-        log.append(sim.now)
+        def proc():
+            yield Delay(5.0)
+            yield Delay(1.0)
+            log.append(sim.now)
 
-    sim.spawn(proc())
+        sim.spawn(proc())
+        return sim, log
+
+    sim, log = build()
     assert sim.run(until=4.0) == 4.0
     assert log == []
-    assert sim.run() == 10.0
-    assert log == [10.0]
+    assert sim.run() == 6.0
+    assert log == [6.0]
+    # The event held back at `until` is counted once, when dispatched:
+    # a split run publishes the same counters as an uninterrupted one.
+    whole, _ = build()
+    whole.run()
+    counters = [(s.n_events, s.n_heap_pops, s.n_ready_pops) for s in (sim, whole)]
+    assert counters == [(3, 2, 1), (3, 2, 1)]
 
 
 def test_determinism_identical_runs():

@@ -23,7 +23,7 @@ def test_16_pe_two_domain_run_matches_reference(variant):
     np.testing.assert_array_equal(res.result, expected)
 
 
-def test_two_domain_run_is_hierarchical_and_sharded():
+def test_two_domain_run_is_hierarchical():
     config = _config(16)
     assert config.node.is_hierarchical
     assert config.node.num_domains == 2
@@ -51,8 +51,8 @@ def test_proxy_ops_accounted_per_source_pe():
 
 
 def test_flat_8_pe_run_unaffected_by_the_hierarchy_machinery():
-    """An 8-PE single-domain run must not shard, not build rails, and
-    not charge proxy time."""
+    """An 8-PE single-domain run must not build rails and must not
+    charge proxy time."""
     registry = MetricsRegistry()
     with use_metrics(registry):
         res = run_variant("cpufree", _config(8, with_data=False))

@@ -53,6 +53,7 @@ from repro.obs.report import (
     ops_table,
     summary_table,
 )
+from repro.obs.whatif import check_scale
 
 RUN_COMMANDS = ("summary", "links", "ops", "critical-path", "timeline", "whatif")
 
@@ -182,8 +183,10 @@ def _parse_scale(text: str) -> tuple[str, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad scale factor {factor!r} in {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"scale factor must be positive: {text!r}")
+    try:
+        check_scale(resource, value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return resource, value
 
 

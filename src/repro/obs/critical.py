@@ -1,8 +1,8 @@
 """Critical-path extraction over the traced span DAG.
 
 The tracer records *what ran when*; this module answers *why the run
-took as long as it did*.  Dependencies are reconstructed from two
-sources:
+took as long as it did*.  Dependencies come from the shared span DAG
+(:mod:`repro.obs.dag`), which reconstructs them from two sources:
 
 - **lane order**: on one lane (a host thread, a TB group, a wire),
   a span depends on the latest span that finished at or before it
@@ -22,9 +22,9 @@ compute / comm / sync decomposition of the paper's overhead argument.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
+from repro.obs.dag import build_dag
 from repro.sim.trace import Span
 
 __all__ = ["CriticalPathReport", "PathStep", "critical_path"]
@@ -55,55 +55,30 @@ class CriticalPathReport:
         return self.by_category.get(category, 0.0) / self.total_us if self.total_us else 0.0
 
 
-def _flow_id(span: Span, key: str):
-    meta = span.meta
-    return meta.get(key) if isinstance(meta, dict) else None
-
-
 def critical_path(spans: list[Span], iterations: int = 1) -> CriticalPathReport:
     """Longest dependency chain through ``spans`` (see module docs)."""
     if not spans:
         return CriticalPathReport([], 0.0, {}, iterations)
-    # deterministic processing order: completion time, then start/lane/name
-    order = sorted(range(len(spans)),
-                   key=lambda i: (spans[i].end, spans[i].start, spans[i].lane,
-                                  spans[i].name, i))
-    rank = {idx: pos for pos, idx in enumerate(order)}
+    dag = build_dag(spans)
+    order, rank = dag.order, dag.rank
 
-    # lane-order predecessor: latest span on the same lane with end <= start
-    by_lane: dict[str, list[int]] = {}
-    lane_pos: dict[int, int] = {}
-    for i in order:
-        members = by_lane.setdefault(spans[i].lane, [])
-        lane_pos[i] = len(members)
-        members.append(i)
-    lane_ends = {lane: [spans[j].end for j in members]
-                 for lane, members in by_lane.items()}
-
-    # flow links: producer span (flow_s) -> consumer span (flow_f)
-    producers = {_flow_id(spans[i], "flow_s"): i for i in order
-                 if _flow_id(spans[i], "flow_s") is not None}
-
-    best: dict[int, float] = {}
-    pred: dict[int, int | None] = {}
-    contrib: dict[int, float] = {}
+    n = len(spans)
+    best = [0.0] * n
+    pred: list[int | None] = [None] * n
+    contrib = [0.0] * n
 
     for i in order:
         span = spans[i]
         candidates: list[tuple[float, float, int]] = []  # (chain, contributed, pred)
-        # lane predecessor: rightmost earlier lane span with end <= start
-        k = bisect_right(lane_ends[span.lane], span.start + 1e-12, 0, lane_pos[i]) - 1
-        if k >= 0:
-            prev = by_lane[span.lane][k]
+        prev = dag.lane_pred[i]
+        if prev is not None:
             candidates.append((best[prev] + span.duration, span.duration, prev))
         # flow predecessor (only the tail after the producer completes)
-        fid = _flow_id(span, "flow_f")
-        if fid is not None:
-            j = producers.get(fid)
-            if j is not None and rank[j] < rank[i]:
-                tail = span.end - max(span.start, spans[j].end)
-                if tail >= 0:
-                    candidates.append((best[j] + tail, tail, j))
+        j = dag.flow_pred[i]
+        if j is not None:
+            tail = span.end - max(span.start, spans[j].end)
+            if tail >= 0:
+                candidates.append((best[j] + tail, tail, j))
         if candidates:
             chain, used, parent = max(candidates, key=lambda c: (c[0], -rank[c[2]]))
         else:

@@ -107,6 +107,14 @@ class TestWhatifCommand:
         with pytest.raises(CliError, match="unknown resource"):
             main(["whatif", *RUN_ARGS, "--scale", "tpu=0.5"])
 
+    @pytest.mark.parametrize("scale", ["comm=0", "host=-1", "compute=nan",
+                                       "wire.pe0->*=inf"])
+    def test_invalid_scale_factor_is_a_usage_error(self, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["whatif", *RUN_ARGS, "--scale", scale])
+        assert exc.value.code == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+
 
 class TestRegressCommand:
     @staticmethod

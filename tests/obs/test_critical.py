@@ -1,5 +1,9 @@
 """Unit tests for critical-path extraction."""
 
+import hashlib
+
+import pytest
+
 from repro.obs.critical import critical_path
 from repro.sim.trace import Span
 
@@ -120,3 +124,41 @@ class TestReportProperties:
         assert [s.span.name for s in forward.steps] == \
                [s.span.name for s in backward.steps]
         assert forward.total_us == backward.total_us
+
+
+class TestRealTraces:
+    """Reports on simulated runs, pinned exactly: the path through the
+    shared span DAG (:mod:`repro.obs.dag`) must not move a single step."""
+
+    # (variant, shape, gpus) -> (steps, sha256 of the steps, total_us,
+    # by_category), all at 4 iterations
+    PINNED = {
+        ("cpufree", (130, 258), 4): (
+            3, "9f5b6923fadaed52", 22.202374088548563,
+            {"api": 6.2, "sync": 16.002374088548564}),
+        ("cpufree_perks", (1026, 2050), 4): (
+            3, "7dd160184d4c6588", 38.832948958719605,
+            {"api": 6.2, "sync": 32.6329489587196}),
+        ("baseline_overlap", (1026, 2050), 4): (
+            32, "3eb5cd03b5395642", 309.5032312507726,
+            {"api": 62.39999999999993, "sync": 247.1032312507727}),
+        ("baseline_nvshmem", (130, 258), 8): (
+            12, "676e06fa34e7f9c0", 37.6, {"api": 37.6}),
+        ("baseline_copy", (66, 130), 2): (
+            16, "2e06577c1692828c", 111.2,
+            {"api": 31.200000000000003, "sync": 80.0}),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_report_is_unchanged(self, key):
+        from repro.stencil import StencilConfig, run_variant
+
+        variant, shape, gpus = key
+        config = StencilConfig(global_shape=shape, num_gpus=gpus,
+                               iterations=4, with_data=False)
+        report = critical_path(run_variant(variant, config).tracer.spans, 4)
+        digest = hashlib.sha256("\n".join(
+            repr((s.span.lane, s.span.name, s.span.start, s.span.end,
+                  s.contributed_us)) for s in report.steps).encode()).hexdigest()
+        assert (len(report.steps), digest[:16], report.total_us,
+                report.by_category) == self.PINNED[key]

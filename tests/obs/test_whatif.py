@@ -1,7 +1,10 @@
 """Causal what-if replay: exactness at scale 1, sane bottleneck calls."""
 
+import math
+
 import pytest
 
+from repro.obs import whatif
 from repro.obs.whatif import (
     DEFAULT_SCENARIOS,
     Scenario,
@@ -44,6 +47,18 @@ class TestScenario:
                                         0, 1)) == 0.1
         # waiting is derived by the replay, never scaled directly
         assert scenario.scale_for(_span("gpu0.c", "wait", "sync", 0, 1)) == 1.0
+
+    @pytest.mark.parametrize("factors", [
+        {"compute": -1.0},
+        {"compute": float("nan")},
+        {"comm": 0.0},
+        {"host": math.inf},
+        {"links": {"wire.pe0->*": -0.5}},
+        {"links": {"wire.pe1->pe0": float("nan")}},
+    ])
+    def test_rejects_factors_that_are_not_finite_and_positive(self, factors):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            Scenario("bad", **factors)
 
 
 class TestSyntheticDag:
@@ -95,6 +110,64 @@ class TestSyntheticDag:
         new = replay_makespan(spans, Scenario("s", compute=0.5))
         # a: [0,1); b starts at 1 + original 3us gap, runs 1 -> ends 5
         assert new == pytest.approx(5.0)
+
+
+class TestReplayPlan:
+    """The DAG is built once per report and replayed in one pass."""
+
+    def test_tolerance_cycle_falls_back_to_the_bounded_sweep(self):
+        # the wait ends 5e-13 after the put it waits on, inside the lane
+        # tolerance: the put's issuer (j) follows the wait on its lane,
+        # and the wait follows the put through the flow link
+        spans = [
+            _span("gpu0.s", "j", "compute", 5.0, 10.0),
+            _span("wire.pe0->pe1", "put", "comm", 5.0, 5.0, {"flow_s": 1}),
+            _span("gpu0.s", "wait", "sync", 4.0, 5.0 + 5e-13, {"flow_f": 1}),
+        ]
+        plan = whatif._plan(spans)
+        assert not plan.acyclic
+        assert plan.nodes == list(range(2 * len(spans)))
+        assert replay_makespan(spans, Scenario("identity")) == 6.0
+        assert replay_makespan(spans, Scenario("s", compute=0.5)) == \
+            pytest.approx(3.5)
+
+    def test_acyclic_plan_is_topological(self):
+        spans = list(_run("baseline_overlap", shape=(130, 258), gpus=2,
+                          iterations=3).tracer.spans)
+        plan = whatif._plan(spans)
+        assert plan.acyclic
+        position = {node: k for k, node in enumerate(plan.nodes)}
+        assert sorted(position) == list(range(2 * len(spans)))
+        for node in plan.nodes:
+            assert all(position[src] < position[node]
+                       for src in plan.inputs(node))
+
+    @pytest.mark.parametrize("shape,gpus", [((66, 130), 2), ((258, 514), 4)])
+    def test_every_variant_builds_once_and_replays_in_one_pass(
+            self, monkeypatch, shape, gpus):
+        from repro.stencil.base import VARIANTS
+
+        builds, passes = [], []
+        build_dag, sweep = whatif.build_dag, whatif._sweep
+
+        def counting_build(spans):
+            builds.append(len(spans))
+            return build_dag(spans)
+
+        def counting_sweep(*args):
+            passes.append(sweep(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(whatif, "build_dag", counting_build)
+        monkeypatch.setattr(whatif, "_sweep", counting_sweep)
+        for variant in VARIANTS:
+            spans = _run(variant, shape=shape, gpus=gpus,
+                         iterations=3).tracer.spans
+            builds.clear()
+            passes.clear()
+            whatif_report(spans)
+            assert builds == [len(spans)], variant
+            assert passes == [1] * (1 + len(DEFAULT_SCENARIOS)), variant
 
 
 class TestExactnessAtScaleOne:

@@ -1,5 +1,5 @@
 """Perf-smoke goldens: a canonical observed run must reproduce the
-committed metrics dump and Chrome trace byte for byte.
+committed metrics dump, Chrome trace and what-if reports byte for byte.
 
 This is the local half of the CI ``perf-smoke`` job: every engine or
 transport optimization claims to be invisible to published output, and
@@ -10,10 +10,13 @@ dumps, regenerate per tests/golden/README.md and review the diff.
 
 import pathlib
 
+import pytest
+
 from repro.obs.__main__ import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-CANONICAL = ["summary", "--shape", "66x130", "--gpus", "2", "--iterations", "4"]
+RUN = ["--shape", "66x130", "--gpus", "2", "--iterations", "4"]
+CANONICAL = ["summary", *RUN]
 
 
 def test_metrics_and_trace_match_committed_golden(tmp_path, capsys):
@@ -24,3 +27,16 @@ def test_metrics_and_trace_match_committed_golden(tmp_path, capsys):
     assert rc == 0
     assert metrics.read_bytes() == (GOLDEN / "perf_smoke_metrics.json").read_bytes()
     assert trace.read_bytes() == (GOLDEN / "perf_smoke_trace.json").read_bytes()
+
+
+@pytest.mark.parametrize("golden,variant_args", [
+    ("perf_smoke_whatif.json", []),
+    # host x2 on this CPU-controlled baseline took four Gauss–Seidel
+    # sweeps before the replay became one topological pass
+    ("perf_smoke_whatif_overlap.json", ["--variant", "baseline_overlap"]),
+])
+def test_whatif_report_matches_committed_golden(tmp_path, capsys, golden,
+                                                variant_args):
+    out = tmp_path / "whatif.json"
+    assert main(["whatif", *RUN, *variant_args, "--json-out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

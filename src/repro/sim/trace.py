@@ -99,39 +99,109 @@ class Span:
 
 class Tracer:
     """Collects spans; ``None``-safe pattern: components accept an
-    optional tracer and skip recording when it is absent."""
+    optional tracer and skip recording when it is absent.
+
+    Spans are stored as plain ``(lane, name, category, start, end,
+    meta)`` rows; :attr:`spans` builds the :class:`Span` objects on
+    read.  Category totals and the overlap ratio (no lane filter) read
+    one merged interval list per category, built on first use and
+    rebuilt only after more rows arrive.  A tracer returned by
+    :func:`repro.stencil.batch.demux_tracer` starts as a view of one
+    member of a batched run and takes its own content from the joint
+    run the first time anything beyond those totals is read.
+    """
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
+        self._rows: list[tuple] = []
+        #: Span objects for ``self._rows[:len(self._spans)]``
+        self._spans: list[Span] = []
+        #: category -> merged intervals, valid while ``len(self._rows)``
+        #: equals ``self._merged_rows``
+        self._merged: dict[str, list[tuple[float, float]]] = {}
+        self._merged_rows = 0
         self._open: dict[tuple[str, str], tuple[str, float]] = {}
-        #: counter samples as ``(name, time, value)`` — exported as
-        #: Chrome-trace counter ("C") events
-        self.counter_samples: list[tuple[str, float, float]] = []
-        #: point-in-time markers as ``(time, name, category, args)`` —
-        #: exported as Chrome-trace instant ("i") events; the fault
-        #: layer uses these to pin injected faults on the timeline
-        self.instant_events: list[tuple[float, str, str, Any]] = []
+        self._counters: list[tuple[str, float, float]] = []
+        self._instants: list[tuple[float, str, str, Any]] = []
+        #: ``(joint run, member index)`` until a demuxed member is split
+        self._source: tuple[Any, int] | None = None
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every recorded span, in recording order."""
+        if self._source is not None:
+            self._split()
+        spans, rows = self._spans, self._rows
+        if len(spans) < len(rows):
+            spans.extend([Span(lane, name, category, start, end, meta)
+                          for lane, name, category, start, end, meta
+                          in rows[len(spans):]])
+        return spans
+
+    @property
+    def counter_samples(self) -> list[tuple[str, float, float]]:
+        """Counter samples as ``(name, time, value)`` — exported as
+        Chrome-trace counter ("C") events."""
+        if self._source is not None:
+            self._split()
+        return self._counters
+
+    @property
+    def instant_events(self) -> list[tuple[float, str, str, Any]]:
+        """Point-in-time markers as ``(time, name, category, args)`` —
+        exported as Chrome-trace instant ("i") events; the fault layer
+        uses these to pin injected faults on the timeline."""
+        if self._source is not None:
+            self._split()
+        return self._instants
+
+    def _split(self) -> None:
+        """Take a demuxed member's rows, counters and instants from the
+        joint run, ahead of anything recorded on this tracer since."""
+        (joint, member), self._source = self._source, None
+        rows, counters, instants = joint.member(member)
+        self._rows[:0] = rows
+        self._counters[:0] = counters
+        self._instants[:0] = instants
+
+    def _intervals(self, category: str) -> list[tuple[float, float]]:
+        """Merged intervals of every span of ``category``."""
+        if self._source is not None:
+            if not self._rows:
+                joint, member = self._source
+                return joint.intervals(category)[member]
+            self._split()
+        rows = self._rows
+        if self._merged_rows != len(rows):
+            self._merged = {}
+            self._merged_rows = len(rows)
+        merged = self._merged.get(category)
+        if merged is None:
+            merged = self._merged[category] = merge_intervals(
+                [(row[3], row[4]) for row in rows if row[2] == category])
+        return merged
 
     def record(self, lane: str, name: str, category: str, start: float, end: float,
                meta: Any = None) -> None:
         """Record a completed span (most callers know both endpoints)."""
-        if end < start:
+        if not (start <= end):
             raise ValueError(f"span ends before it starts: {name} [{start}, {end})")
-        self.spans.append(Span(lane, name, category, start, end, meta))
+        self._rows.append((lane, name, category, start, end, meta))
 
     def begin(self, lane: str, name: str, category: str, now: float) -> None:
         """Open a span; pair with :meth:`end` using the same (lane, name)."""
         self._open[(lane, name)] = (category, now)
 
     def end(self, lane: str, name: str, now: float) -> None:
+        """Close the span :meth:`begin` opened; a failed close leaves it open."""
         try:
-            category, start = self._open.pop((lane, name))
+            category, start = self._open[(lane, name)]
         except KeyError:
             raise ValueError(
                 f"Tracer.end() without a matching begin(): no open span "
                 f"named {name!r} on lane {lane!r}"
             ) from None
         self.record(lane, name, category, start, now)
+        del self._open[(lane, name)]
 
     def close_all(self, now: float, *, lanes: Any = None,
                   tag: str | None = None) -> list[tuple[str, str]]:
@@ -157,12 +227,12 @@ class Tracer:
     def add_counter(self, name: str, now: float, value: float) -> None:
         """Record one sample of a time-varying counter (e.g. in-flight
         deliveries per PE)."""
-        self.counter_samples.append((name, now, value))
+        self._counters.append((name, now, value))
 
     def add_instant(self, name: str, now: float, category: str = "instant",
                     args: Any = None) -> None:
         """Record a zero-duration marker (e.g. an injected fault)."""
-        self.instant_events.append((now, name, category, args))
+        self._instants.append((now, name, category, args))
 
     # -- queries -------------------------------------------------------------
 
@@ -180,6 +250,8 @@ class Tracer:
 
     def total(self, category: str, lane_prefix: str | None = None) -> float:
         """Union length of all spans of ``category`` (overlaps counted once)."""
+        if lane_prefix is None:
+            return _length(self._intervals(category))
         spans = self.spans_in(category, lane_prefix)
         return interval_union_length([(s.start, s.end) for s in spans])
 
@@ -197,12 +269,18 @@ class Tracer:
         This is the metric of Figure 2.2b: ``overlap_len(comm ∩ comp) /
         union_len(comm)``.  Returns 0.0 when there is no communication.
         """
-        comm = [(s.start, s.end) for s in self.spans_in(comm_category, lane_prefix)]
-        comp = [(s.start, s.end) for s in self.spans_in(comp_category, lane_prefix)]
-        comm_len = interval_union_length(comm)
+        if lane_prefix is None:
+            comm = self._intervals(comm_category)
+            comp = self._intervals(comp_category)
+        else:
+            comm = merge_intervals([(s.start, s.end)
+                                    for s in self.spans_in(comm_category, lane_prefix)])
+            comp = merge_intervals([(s.start, s.end)
+                                    for s in self.spans_in(comp_category, lane_prefix)])
+        comm_len = _length(comm)
         if comm_len == 0.0:
             return 0.0
-        return overlap_length(comm, comp) / comm_len
+        return _merged_overlap(comm, comp) / comm_len
 
     def to_chrome_trace(self) -> list[dict]:
         """Export spans in Chrome Tracing (``chrome://tracing`` /
@@ -338,25 +416,33 @@ def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, f
     """Merge possibly-overlapping intervals into a sorted disjoint list."""
     if not intervals:
         return []
-    ordered = sorted(intervals)
-    merged = [ordered[0]]
-    for lo, hi in ordered[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi:
-            merged[-1] = (last_lo, max(last_hi, hi))
+    ordered = iter(sorted(intervals))
+    lo, hi = next(ordered)
+    merged = []
+    for start, end in ordered:
+        if start <= hi:
+            if end > hi:
+                hi = end
         else:
             merged.append((lo, hi))
+            lo, hi = start, end
+    merged.append((lo, hi))
     return merged
+
+
+def _length(merged: list[tuple[float, float]]) -> float:
+    """Total length of a merged (sorted, disjoint) interval list."""
+    return sum(hi - lo for lo, hi in merged)
 
 
 def interval_union_length(intervals: list[tuple[float, float]]) -> float:
     """Total length covered by the union of ``intervals``."""
-    return sum(hi - lo for lo, hi in merge_intervals(intervals))
+    return _length(merge_intervals(intervals))
 
 
-def overlap_length(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
-    """Length of the intersection of two interval sets."""
-    ma, mb = merge_intervals(a), merge_intervals(b)
+def _merged_overlap(ma: list[tuple[float, float]],
+                    mb: list[tuple[float, float]]) -> float:
+    """Intersection length of two merged (sorted, disjoint) lists."""
     i = j = 0
     total = 0.0
     while i < len(ma) and j < len(mb):
@@ -369,3 +455,8 @@ def overlap_length(a: list[tuple[float, float]], b: list[tuple[float, float]]) -
         else:
             j += 1
     return total
+
+
+def overlap_length(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
+    """Length of the intersection of two interval sets."""
+    return _merged_overlap(merge_intervals(a), merge_intervals(b))

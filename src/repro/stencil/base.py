@@ -123,12 +123,25 @@ class StencilResult:
     variant: str
     config: StencilConfig
     total_time_us: float
-    comm_time_us: float
-    sync_time_us: float
-    api_time_us: float
-    overlap_ratio: float
     tracer: Tracer
     result: np.ndarray | None = None
+
+    @property
+    def comm_time_us(self) -> float:
+        return self.tracer.total("comm")
+
+    @property
+    def sync_time_us(self) -> float:
+        return self.tracer.total("sync")
+
+    @property
+    def api_time_us(self) -> float:
+        return self.tracer.total("api")
+
+    @property
+    def overlap_ratio(self) -> float:
+        """Figure 2.2b's share of communication overlapped by compute."""
+        return self.tracer.overlap_ratio()
 
     @property
     def per_iteration_us(self) -> float:
@@ -417,10 +430,6 @@ class StencilVariant(abc.ABC):
             variant=self.name,
             config=self.config,
             total_time_us=total,
-            comm_time_us=self.tracer.total("comm"),
-            sync_time_us=self.tracer.total("sync"),
-            api_time_us=self.tracer.total("api"),
-            overlap_ratio=self.tracer.overlap_ratio(),
             tracer=self.tracer,
             result=result,
         )

@@ -32,7 +32,7 @@ from repro.sim.stacked import (
     members,
     stacked_val,
 )
-from repro.sim.trace import Span, Tracer
+from repro.sim.trace import Tracer, merge_intervals
 from repro.stencil.base import VARIANTS, StencilConfig, StencilResult
 
 __all__ = ["batch_stencil_config", "demux_tracer", "run_batched_stencil"]
@@ -56,6 +56,49 @@ def batch_stencil_config(configs: Sequence[StencilConfig]) -> StencilConfig:
     return dataclasses.replace(base, global_shape=tuple(axes))
 
 
+class _JointTrace:
+    """The vector-timed trace of a batched run, split per member on
+    demand: per-category merged intervals for all members at once, a
+    member's rows, counters and instants when that member is read."""
+
+    def __init__(self, tracer: Tracer, B: int) -> None:
+        self.tracer = tracer
+        self.B = B
+        self._intervals: dict[str, list[list[tuple[float, float]]]] = {}
+
+    def intervals(self, category: str) -> list[list[tuple[float, float]]]:
+        """Each member's merged intervals of ``category``."""
+        merged = self._intervals.get(category)
+        if merged is None:
+            B = self.B
+            pairs = [(members(start, B), members(end, B), meta is WAIT_SPAN)
+                     for _, _, cat, start, end, meta in self.tracer._rows
+                     if cat == category]
+            merged = self._intervals[category] = [
+                merge_intervals([(lo[m], hi[m]) for lo, hi, wait in pairs
+                                 if not wait or hi[m] > lo[m]])
+                for m in range(B)
+            ]
+        return merged
+
+    def member(self, m: int) -> tuple[list, list, list]:
+        """Member ``m``'s ``(rows, counter samples, instant events)``."""
+        B = self.B
+        rows = []
+        for lane, name, category, start, end, meta in self.tracer._rows:
+            lo, hi = members(start, B)[m], members(end, B)[m]
+            if meta is WAIT_SPAN:
+                if hi > lo:
+                    rows.append((lane, name, category, lo, hi, None))
+            else:
+                rows.append((lane, name, category, lo, hi, meta))
+        counters = [(name, members(ts, B)[m], members(value, B)[m])
+                    for name, ts, value in self.tracer._counters]
+        instants = [(members(ts, B)[m], name, category, args)
+                    for ts, name, category, args in self.tracer._instants]
+        return rows, counters, instants
+
+
 def demux_tracer(tracer: Tracer, B: int) -> list[Tracer]:
     """Split a vector-timed tracer into B per-member tracers.
 
@@ -63,37 +106,18 @@ def demux_tracer(tracer: Tracer, B: int) -> list[Tracer]:
     were recorded because *some* member waited; each member keeps the
     span only if its own wait had nonzero duration, reproducing the
     per-point path's ``end > start`` guard member by member.
+
+    The members are views of the joint run: the figure suite reads only
+    category totals and the overlap ratio from them, so their own rows
+    and :class:`~repro.sim.trace.Span` objects are built only when
+    something reads the spans themselves.  The joint run already
+    validated every endpoint pair, so the split skips
+    :meth:`Tracer.record`.
     """
+    joint = _JointTrace(tracer, B)
     outs = [Tracer() for _ in range(B)]
-    # Spans are constructed directly (not via Tracer.record): the joint
-    # run already validated every endpoint pair, and the per-member
-    # views inherit that validity, so the demux loop skips the check.
-    span_lists = [out.spans for out in outs]
-    for span in tracer.spans:
-        starts = members(span.start, B)
-        ends = members(span.end, B)
-        lane = span.lane
-        name = span.name
-        category = span.category
-        if span.meta is WAIT_SPAN:
-            for m in range(B):
-                if ends[m] > starts[m]:
-                    span_lists[m].append(
-                        Span(lane, name, category, starts[m], ends[m]))
-        else:
-            meta = span.meta
-            for m in range(B):
-                span_lists[m].append(
-                    Span(lane, name, category, starts[m], ends[m], meta))
-    for name, ts, value in tracer.counter_samples:
-        times = members(ts, B)
-        values = members(value, B)
-        for m, out in enumerate(outs):
-            out.add_counter(name, times[m], values[m])
-    for ts, name, category, args in tracer.instant_events:
-        times = members(ts, B)
-        for m, out in enumerate(outs):
-            out.instant_events.append((times[m], name, category, args))
+    for m, out in enumerate(outs):
+        out._source = (joint, m)
     return outs
 
 
@@ -177,20 +201,11 @@ def _run_batched_locked(
 
     tracers = demux_tracer(variant.tracer, B)
     totals = members(total, B)
-    results = []
-    for i in range(B):
-        tr = tracers[i]
-        results.append(StencilResult(
-            variant=variant_name,
-            config=configs[i],
-            total_time_us=totals[i],
-            comm_time_us=tr.total("comm"),
-            sync_time_us=tr.total("sync"),
-            api_time_us=tr.total("api"),
-            overlap_ratio=tr.overlap_ratio(),
-            tracer=tr,
-            result=None,
-        ))
+    results = [
+        StencilResult(variant=variant_name, config=configs[i],
+                      total_time_us=totals[i], tracer=tracers[i])
+        for i in range(B)
+    ]
     dumps: list[dict | None]
     if registry is not None:
         dumps = registry.dumps()

@@ -61,6 +61,36 @@ class TestTracer:
         with pytest.raises(ValueError):
             tr.record("l", "x", "compute", 5.0, 4.0)
 
+    @pytest.mark.parametrize("start, end", [
+        (float("nan"), 1.0), (0.0, float("nan")), (float("nan"), float("nan")),
+    ])
+    def test_record_rejects_nan_endpoints(self, start, end):
+        tr = Tracer()
+        with pytest.raises(ValueError, match="ends before it starts"):
+            tr.record("gpu0.s", "k", "comm", start, end)
+        assert tr.spans == []
+        assert tr.total("comm") == 0.0
+        assert tr.overlap_ratio() == 0.0
+
+    def test_failed_end_keeps_the_span_open(self):
+        tr = Tracer()
+        tr.begin("l", "n", "c", 5.0)
+        with pytest.raises(ValueError, match="ends before it starts"):
+            tr.end("l", "n", 3.0)
+        assert tr.spans == []
+        assert tr.close_all(10.0) == [("l", "n")]
+        assert tr.spans == [Span("l", "n", "c", 5.0, 10.0)]
+
+    def test_spans_extend_after_more_records(self):
+        tr = Tracer()
+        tr.record("a", "x", "comm", 0.0, 1.0)
+        first = tr.spans
+        assert tr.total("comm") == 1.0
+        tr.record("a", "y", "comm", 2.0, 4.0)
+        assert tr.spans is first
+        assert [s.name for s in first] == ["x", "y"]
+        assert tr.total("comm") == 3.0
+
     def test_begin_end_pairs(self):
         tr = Tracer()
         tr.begin("lane", "op", "comm", 1.0)

@@ -42,6 +42,7 @@ from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.perf import ResultCache, SweepManifest, SweepRunner, use_runner
 from repro.perf.cache import DEFAULT_CACHE_DIR
 from repro.perf.manifest import SweepJournal
+from repro.sdfg.codegen.fastpath import FASTPATH_MODES
 
 
 def _run_22():
@@ -173,11 +174,10 @@ def main(argv: list[str] | None = None) -> int:
                              "write the registry dump (JSON) to PATH; the dump "
                              "is byte-identical at any --jobs setting")
     parser.add_argument("--fastpath", type=str, default="vector",
-                        choices=("vector", "scalar", "validate"),
+                        choices=FASTPATH_MODES,
                         help="tasklet execution mode for SDFG figures "
-                             "(scalar/validate are bit-identical to vector "
-                             "but slower; each mode keys its own cache "
-                             "entries)")
+                             "(scalar is bit-identical to vector but "
+                             "slower; each mode keys its own cache entries)")
     parser.add_argument("--fault-profile", type=str, default=None, metavar="NAME",
                         help="run every figure under this fault profile "
                              "(e.g. transient or transient@7); the profile is "

@@ -1,8 +1,9 @@
 """Execute a (transformed) SDFG on the multi-GPU simulator.
 
-The executor is the "runtime" half of code generation: it walks the
-SDFG exactly as the emitted CUDA/C++ would execute and drives the
-simulator accordingly.
+The executor is the "runtime" half of code generation.  Like the
+emitted CUDA/C++, it decides each shape-driven lowering once: a rank
+*binds* a state on first reaching it (peers, byte counts, index tuples,
+expansions), and one walker runs the bound operations.
 
 Discrete mode (states scheduled ``GPU_DEVICE``) reproduces the DaCe
 baseline of Fig. 5.1: per iteration, one kernel launch per compute
@@ -22,7 +23,9 @@ subgraph edges computed by the transform.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any
 
 import numpy as np
@@ -32,13 +35,13 @@ from repro.nvshmem import NVSHMEMRuntime, WaitCond
 from repro.nvshmem.device import Scope
 from repro.runtime import Communicator, MultiGPUContext, VectorType
 from repro.runtime.kernel import KernelSpec
-from repro.sdfg.codegen.fastpath import FASTPATH_MODES, plan_state
-from repro.sdfg.graph import LoopRegion, Region, SDFG, Schedule, State
+from repro.sdfg.codegen.fastpath import FASTPATH_MODES, bound_counter, plan_state
+from repro.sdfg.graph import LoopRegion, SDFG, Schedule, State
 from repro.sdfg.libnodes.mpi import MPI_PROC_NULL, MPIBarrier, MPIIrecv, MPIIsend, MPIWaitall
 from repro.sdfg.libnodes.nvshmem import PutmemSignal, SignalWait
-from repro.sdfg.memlet import AccessKind, Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, Tasklet
-from repro.sdfg.symbols import evaluate_expr
+from repro.sdfg.memlet import AccessKind
+from repro.sdfg.nodes import AccessNode
+from repro.sdfg.symbols import evaluate_expr, free_symbols
 from repro.sdfg.transforms.mpi_to_nvshmem import FLAGS_ARRAY
 from repro.hw.memory import Storage
 from repro.sim import Tracer
@@ -51,12 +54,21 @@ class ExecutionReport:
     """Timing and (optionally) data results of one SDFG execution."""
 
     total_time_us: float
-    comm_time_us: float
-    sync_time_us: float
-    api_time_us: float
     iterations: int
     tracer: Tracer
     arrays: list[dict[str, np.ndarray]] | None
+
+    @property
+    def comm_time_us(self) -> float:
+        return self.tracer.total("comm")
+
+    @property
+    def sync_time_us(self) -> float:
+        return self.tracer.total("sync")
+
+    @property
+    def api_time_us(self) -> float:
+        return self.tracer.total("api")
 
     @property
     def per_iteration_us(self) -> float:
@@ -65,13 +77,25 @@ class ExecutionReport:
 
 @dataclass
 class _RankState:
+    rank: int
     bindings: dict[str, int]
     arrays: dict[str, np.ndarray]
     pending: list = field(default_factory=list)
+    #: State -> its bound operations, LoopRegion -> its range; filled on
+    #: first use, except for elements whose binding reads a loop variable
+    bound: dict = field(default_factory=dict)
+    host: Any = None
+    stream: Any = None
+
+
+#: where device operations run: one TB group's device context, grid
+#: barrier and NVSHMEM handle
+_Device = namedtuple("_Device", "dev grid nv")
 
 
 class SDFGExecutor:
-    """Runs one SDFG SPMD across the node's GPUs."""
+    """Runs one SDFG SPMD across the node's GPUs, once: the simulator
+    clock, tracer and signal flags of ``ctx`` belong to that run."""
 
     def __init__(
         self,
@@ -86,9 +110,8 @@ class SDFGExecutor:
         self.ctx = ctx
         self.with_data = with_data
         #: tasklet execution mode: ``"vector"`` (specialized maps run as
-        #: single NumPy slice expressions), ``"scalar"`` (codegen-faithful
-        #: per-element loop), or ``"validate"`` (run both, assert
-        #: bit-identical).  See :mod:`repro.sdfg.codegen.fastpath`.
+        #: single NumPy slice expressions) or ``"scalar"`` (codegen-faithful
+        #: per-element loop).  See :mod:`repro.sdfg.codegen.fastpath`.
         if fastpath not in FASTPATH_MODES:
             raise ValueError(f"unknown fastpath mode {fastpath!r}")
         self.fastpath = fastpath
@@ -99,55 +122,61 @@ class SDFGExecutor:
         self.persistent = any(
             r.schedule is Schedule.GPU_PERSISTENT for r in sdfg.walk_regions()
         )
-        self.nvshmem = NVSHMEMRuntime(ctx) if self._uses_nvshmem() else None
-        self.comm = Communicator(ctx) if self._uses_mpi() else None
+        libraries = {n.library for s in sdfg.walk_states() for n in s.library_nodes}
+        self.nvshmem = NVSHMEMRuntime(ctx) if "NVSHMEM" in libraries else None
+        self.comm = Communicator(ctx) if "MPI" in libraries else None
         self._signals = None
         self._sym_arrays: dict[str, Any] = {}
-        self._iterations = 0
-
-    def _uses_nvshmem(self) -> bool:
-        return any(
-            isinstance(n, (PutmemSignal, SignalWait))
-            for s in self.sdfg.walk_states() for n in s.library_nodes
-        )
-
-    def _uses_mpi(self) -> bool:
-        return any(
-            n.library == "MPI"
-            for s in self.sdfg.walk_states() for n in s.library_nodes
-        )
+        self._ran = False
+        #: False for comm-specialized programs: progress flags, not grid
+        #: barriers, order their TB groups
+        self._grid_sync = True
+        #: states and loops whose binding reads a loop variable: re-bound
+        #: on every execution instead of once per rank
+        self._rebind: set = set()
 
     # -- entry point --------------------------------------------------------------
 
     def run(self, rank_args: list[dict[str, Any]]) -> ExecutionReport:
         """``rank_args[r]`` maps array names to initial NumPy arrays and
-        param/symbol names to ints for rank ``r``."""
+        param/symbol names to ints for rank ``r``.  Callable once."""
         num_ranks = len(rank_args)
         if num_ranks > self.ctx.num_gpus:
             raise ValueError("more ranks than GPUs")
+        if self._ran:
+            raise RuntimeError(
+                "SDFGExecutor.run() was already called: the simulator clock, "
+                "tracer and signal flags carry over between runs; build a new "
+                "executor on a fresh MultiGPUContext")
+        self._ran = True
         if self.ctx.metrics is not None:
             self.ctx.metrics.counter(
                 "sdfg.executor.runs",
                 mode="persistent" if self.persistent else "discrete",
             ).inc()
         self._check_symmetric_shapes(rank_args)
-        ranks = [self._prepare_rank(r, rank_args[r], num_ranks) for r in range(num_ranks)]
-        self._count_iterations(ranks[0].bindings)
-        for rank in range(num_ranks):
-            if self.persistent:
-                prog = self._persistent_host_program(rank, ranks[rank])
-            else:
-                prog = self._discrete_host_program(rank, ranks[rank])
-            self.ctx.sim.spawn(prog, name=f"sdfg.host{rank}")
+        ranks = [self._prepare_rank(r, args) for r, args in enumerate(rank_args)]
+        loops, bindings = self.sdfg.loop_regions(), ranks[0].bindings
+        iterations = max(1, evaluate_expr(loops[0].end, bindings)
+                         - evaluate_expr(loops[0].start, bindings)) if loops else 1
+        loop_vars = {loop.var for loop in loops}
+        self._rebind = {el for el in (*self.sdfg.walk_states(), *loops)
+                        if not loop_vars.isdisjoint(self._bound_symbols(el))}
+        elements = self.sdfg.body.elements
+        if (self.persistent and len(elements) == 1 and isinstance(elements[0], LoopRegion)
+                and getattr(elements[0], "comm_specialized", False)):
+            self._grid_sync = False
+        for rs in ranks:
+            rs.host = self.ctx.host(rs.rank)
+            rs.stream = self.ctx.stream(rs.rank, "stream")
+            prog = (self._host_program(rs) if self._grid_sync
+                    else self._specialized_host_program(rs, elements[0]))
+            self.ctx.sim.spawn(prog, name=f"sdfg.host{rs.rank}")
         total = self.ctx.run()
-        tracer = self.ctx.tracer or Tracer()
         return ExecutionReport(
             total_time_us=total,
-            comm_time_us=tracer.total("comm"),
-            sync_time_us=tracer.total("sync"),
-            api_time_us=tracer.total("api"),
-            iterations=self._iterations,
-            tracer=tracer,
+            iterations=iterations,
+            tracer=self.ctx.tracer or Tracer(),
             arrays=[r.arrays for r in ranks] if self.with_data else None,
         )
 
@@ -159,21 +188,12 @@ class SDFGExecutor:
         uses must agree across ranks.  Unequal slabs would silently
         corrupt remote writes, so reject them loudly (pad your domains,
         as real NVSHMEM codes do)."""
-        from repro.sdfg.symbols import BinOp, Sym
-
-        def collect(expr, out: set[str]) -> None:
-            if isinstance(expr, Sym):
-                out.add(expr.name)
-            elif isinstance(expr, BinOp):
-                collect(expr.lhs, out)
-                collect(expr.rhs, out)
-
         symmetric_symbols: set[str] = set()
         for desc in self.sdfg.arrays.values():
             if desc.storage is Storage.SYMMETRIC and not desc.transient:
                 for dim in desc.shape:
-                    collect(dim, symmetric_symbols)
-        for symbol in symmetric_symbols:
+                    symmetric_symbols |= free_symbols(dim)
+        for symbol in sorted(symmetric_symbols):
             values = {int(a[symbol]) for a in rank_args if symbol in a}
             if len(values) > 1:
                 raise ValueError(
@@ -181,7 +201,7 @@ class SDFGExecutor:
                     f"every rank (got {sorted(values)}); pad the decomposition"
                 )
 
-    def _prepare_rank(self, rank: int, args: dict[str, Any], num_ranks: int) -> _RankState:
+    def _prepare_rank(self, rank: int, args: dict[str, Any]) -> _RankState:
         bindings: dict[str, int] = {}
         arrays: dict[str, np.ndarray] = {}
         for name in list(self.sdfg.symbols) + self.sdfg.params:
@@ -207,17 +227,7 @@ class SDFGExecutor:
         if self.nvshmem is not None and FLAGS_ARRAY in self.sdfg.arrays and self._signals is None:
             n_flags = evaluate_expr(self.sdfg.arrays[FLAGS_ARRAY].shape[0], bindings)
             self._signals = self.nvshmem.malloc_signals("sdfg_flags", n_flags)
-        return _RankState(bindings=bindings, arrays=arrays)
-
-    def _count_iterations(self, bindings: dict[str, int]) -> None:
-        loops = self.sdfg.loop_regions()
-        if loops:
-            loop = loops[0]
-            lo = evaluate_expr(loop.start, bindings)
-            hi = evaluate_expr(loop.end, bindings)
-            self._iterations = max(1, hi - lo)
-        else:
-            self._iterations = 1
+        return _RankState(rank, bindings, arrays)
 
     def _shape_of(self, name: str, bindings: dict[str, int]) -> tuple[int, ...]:
         desc = self.sdfg.arrays[name]
@@ -226,190 +236,274 @@ class SDFGExecutor:
     def _peer_rank(self, peer: str | int, bindings: dict[str, int]) -> int:
         return bindings[peer] if isinstance(peer, str) else int(peer)
 
-    # ======================= discrete (baseline) path =======================
+    # ======================= the walker =======================
 
-    def _discrete_host_program(self, rank: int, rs: _RankState):
-        host = self.ctx.host(rank)
-        stream = self.ctx.stream(rank, "stream")
-
-        def run_region(region: Region):
-            for el in region.elements:
-                if isinstance(el, LoopRegion):
-                    lo = evaluate_expr(el.start, rs.bindings)
-                    hi = evaluate_expr(el.end, rs.bindings)
-                    for t in range(lo, hi):
-                        rs.bindings[el.var] = t
-                        yield from run_region(el)
-                    rs.bindings.pop(el.var, None)
-                else:
-                    yield from self._run_state_host(el, rank, rs, host, stream)
-
-        def body():
-            yield from run_region(self.sdfg.body)
-            # drain the device before reporting completion
-            yield from host.stream_sync(stream)
-
-        return body()
-
-    def _run_state_host(self, state: State, rank: int, rs: _RankState, host, stream):
-        tasklets = state.tasklets
-        if tasklets and state.map_entries:
-            yield from self._launch_compute_kernel(state, rank, rs, host, stream)
-            return
-        for node in state.library_nodes:
-            if isinstance(node, (MPIIsend, MPIIrecv)):
-                yield from self._run_mpi_p2p(node, state, rank, rs, host, stream)
-            elif isinstance(node, MPIWaitall):
-                assert self.comm is not None
-                yield from self.comm.waitall(rank, rs.pending)
-                rs.pending.clear()
-            elif isinstance(node, MPIBarrier):
-                assert self.comm is not None
-                yield from self.comm.barrier(rank)
+    def _walk(self, elements, rs: _RankState, bindings: dict[str, int], device: _Device | None):
+        """Run ``elements`` for one rank in program order: the walker of the
+        discrete, persistent and specialized programs alike.  ``bindings``
+        carries the loop variables (specialized TB groups keep their own)."""
+        bound = rs.bound
+        for el in elements:
+            ops = bound.get(el)
+            if ops is None:
+                ops = self._bind(el, rs, bindings)
+            if isinstance(el, LoopRegion):
+                for t in ops:
+                    bindings[el.var] = t
+                    yield from self._walk(el.elements, rs, bindings, device)
+                bindings.pop(el.var, None)
             else:
-                raise TypeError(f"host path cannot execute {node!r}")
+                for op in ops:
+                    yield from op(device, bindings)
 
-    def _launch_compute_kernel(self, state: State, rank: int, rs: _RankState, host, stream):
-        volume = self._state_volume(state, rs.bindings)
-        blocks = max(1, -(-volume // 1024))
-        bindings_snapshot = dict(rs.bindings)
+    # ======================= binding =======================
 
-        def kernel(dev):
-            yield from dev.compute(volume, name=state.name)
-            if self.with_data:
-                self._execute_tasklets(state, rs, bindings_snapshot)
+    def _bind(self, el, rs: _RankState, bindings: dict[str, int]):
+        """Resolve a loop to its ``range`` or a state to its operations
+        for one rank.  Cached on the rank unless the binding reads a loop
+        variable; such an element is re-bound on every execution."""
+        if isinstance(el, LoopRegion):
+            bound = range(evaluate_expr(el.start, bindings), evaluate_expr(el.end, bindings))
+        else:
+            bound = self._bind_state(el, rs, bindings)
+        if el not in self._rebind:
+            rs.bound[el] = bound
+        return bound
 
-        yield from host.launch(stream, KernelSpec(state.name, blocks=blocks), kernel)
+    def _bound_symbols(self, el) -> set[str]:
+        """The symbols binding ``el`` reads.  Signal values are not bound
+        (they are evaluated on every execution), so they do not count."""
+        if isinstance(el, LoopRegion):
+            return free_symbols(el.start) | free_symbols(el.end)
+        names: set[str] = set()
+        memlets = [e.memlet for e in el.edges if e.memlet is not None]
+        for node in el.library_nodes:
+            memlets += [getattr(node, a) for a in ("src", "dst", "buffer") if hasattr(node, a)]
+            names.update(p for p in (getattr(node, a, None) for a in ("pe", "peer", "peer_param"))
+                         if isinstance(p, str))
+        for memlet in memlets:
+            names.update(memlet.free_symbols(), *map(free_symbols, self.sdfg.arrays[memlet.data].shape))
+        return names
 
-    def _state_volume(self, state: State, bindings: dict[str, int]) -> int:
-        """Elements written by this state's tasklets (timing basis)."""
-        volume = 0
+    def _bind_state(self, state: State, rs: _RankState, bindings: dict[str, int]) -> tuple:
+        """A state's operations, each ``op(device, bindings)`` returning
+        the generator that performs it; PROC_NULL peers bind to nothing
+        (the generated code guards them out)."""
+        ops = []
+        compute = bool(state.tasklets and state.map_entries)
+        if compute:
+            ops.append(self._bind_compute(state, rs, bindings))
+        if self.persistent:
+            for node in state.library_nodes:
+                if isinstance(node, PutmemSignal):
+                    ops.append(self._bind_put(node, rs, bindings))
+                elif isinstance(node, SignalWait):
+                    ops.append(self._bind_wait(node, bindings))
+                else:
+                    raise TypeError(f"device path cannot execute {node!r}")
+            if self._grid_sync and getattr(state, "sync_after", True):
+                ops.append(lambda device, _bindings: device.grid.wait())
+        elif not compute:
+            comm, rank, pending = self.comm, rs.rank, rs.pending
+            for node in state.library_nodes:
+                if isinstance(node, (MPIIsend, MPIIrecv)):
+                    ops.append(self._bind_mpi_p2p(node, rs, bindings))
+                elif isinstance(node, MPIWaitall):
+                    ops.append(lambda device, _bindings: comm.waitall(rank, _take_all(pending)))
+                elif isinstance(node, MPIBarrier):
+                    ops.append(lambda device, _bindings: comm.barrier(rank))
+                else:
+                    raise TypeError(f"host path cannot execute {node!r}")
+        return tuple(op for op in ops if op is not None)
+
+    def _bind_compute(self, state: State, rs: _RankState, bindings: dict[str, int]):
+        volume = 0  # elements written by the state's tasklets (timing basis)
         for edge in state.edges:
             if isinstance(edge.dst, AccessNode) and edge.memlet is not None:
                 shape = self._shape_of(edge.memlet.data, bindings)
                 volume += edge.memlet.volume(shape, bindings)
-        return max(1, volume)
+        volume, name = max(1, volume), state.name
+        if self.with_data:
+            # Compiled fast path: tasklets are planned once per state (code
+            # objects + map specialization); the rank resolves its output
+            # slices once and replays them on every execution.
+            tasklets = plan_state(state, self.sdfg).bind(rs.arrays, bindings,
+                                                         mode=self.fastpath)
+            hit = bound_counter("sdfg.fastpath.plan_cache", outcome="hit")
+        first = True  # plan_state() counted the first execution's plan fetch
 
-    def _execute_tasklets(self, state: State, rs: _RankState, bindings: dict[str, int]) -> None:
-        # Compiled fast path: tasklets are planned once per state (code
-        # objects + map specialization) and replayed on every iteration.
-        plan_state(state, self.sdfg).execute(rs.arrays, bindings, mode=self.fastpath)
+        def kernel(dev, bindings: dict[str, int]):
+            nonlocal first
+            yield from dev.compute(volume, name=name)
+            if self.with_data:
+                if not first:
+                    hit()
+                first = False
+                tasklets(bindings)
+        if self.persistent:
+            return lambda device, bindings: kernel(device.dev, bindings)
+        spec = KernelSpec(name, blocks=max(1, -(-volume // 1024)))
 
-    def _run_mpi_p2p(self, node, state: State, rank: int, rs: _RankState, host, stream):
+        def launch(_device, bindings: dict[str, int]):
+            snapshot = dict(bindings)  # the kernel runs after the host moves on
+            return rs.host.launch(rs.stream, spec, lambda dev: kernel(dev, snapshot))
+        return launch
+
+    def _bind_mpi_p2p(self, node, rs: _RankState, bindings: dict[str, int]):
         assert self.comm is not None
-        peer = self._peer_rank(node.peer, rs.bindings)
+        comm, rank, tag, host, stream = self.comm, rs.rank, node.tag, rs.host, rs.stream
+        peer = self._peer_rank(node.peer, bindings)
         if peer == MPI_PROC_NULL:
-            return
-        expansion = node.expand(self.sdfg, rs.bindings)
-        shape = self._shape_of(node.buffer.data, rs.bindings)
-        nbytes = node.buffer.volume(shape, rs.bindings) * 8
-        # Fig 5.1: generated stream sync + staging copy around each call
-        if expansion.stream_sync:
-            yield from host.stream_sync(stream)
-        if expansion.staging_copy:
-            yield from host.memcpy_async_modeled(stream, rank, rank, nbytes, name="stage")
-            yield from host.stream_sync(stream)
+            return None
+        expansion = node.expand(self.sdfg, bindings)
+        shape = self._shape_of(node.buffer.data, bindings)
+        nbytes = node.buffer.volume(shape, bindings) * 8
         datatype = None
         if expansion.vector_datatype:
-            lengths = node.buffer.dim_lengths(shape, rs.bindings)
-            count = max(n for n in lengths)
-            datatype = VectorType(count=count, blocklength=1, stride=shape[-1])
-        if isinstance(node, MPIIsend):
-            if self.with_data:
-                index = node.buffer.resolve(shape, rs.bindings)
-                values = np.array(rs.arrays[node.buffer.data][index])
+            lengths = node.buffer.dim_lengths(shape, bindings)
+            datatype = VectorType(count=max(lengths), blocklength=1, stride=shape[-1])
+        if self.with_data:
+            index = node.buffer.resolve(shape, bindings)
+            array = rs.arrays[node.buffer.data]
+
+        def p2p(_device, _bindings):
+            # Fig 5.1: generated stream sync + staging copy around each call
+            if expansion.stream_sync:
+                yield from host.stream_sync(stream)
+            if expansion.staging_copy:
+                yield from host.memcpy_async_modeled(stream, rank, rank, nbytes, name="stage")
+                yield from host.stream_sync(stream)
+            if isinstance(node, MPIIsend):
+                values = (np.array(array[index]) if self.with_data
+                          else np.zeros(max(1, nbytes // 8)))
+                req = yield from comm.isend(rank, values, peer, tag, datatype)
             else:
-                values = np.zeros(max(1, nbytes // 8))
-            req = yield from self.comm.isend(rank, values, peer, node.tag, datatype)
-        else:
-            out = None
-            if self.with_data:
-                index = node.buffer.resolve(shape, rs.bindings)
-                target = rs.arrays[node.buffer.data]
-                view = target[index]
-                out = view if isinstance(view, np.ndarray) else _ScalarProxy(target, index)
-            req = yield from self.comm.irecv(
-                rank, out, peer, node.tag, nbytes=nbytes, datatype=datatype
-            )
-        rs.pending.append(req)
+                out = None
+                if self.with_data:
+                    view = array[index]
+                    out = view if isinstance(view, np.ndarray) else _ScalarProxy(array, index)
+                req = yield from comm.irecv(
+                    rank, out, peer, tag, nbytes=nbytes, datatype=datatype
+                )
+            rs.pending.append(req)
+        return p2p
 
-    # ======================= persistent (CPU-Free) path =======================
+    def _bind_put(self, node: PutmemSignal, rs: _RankState, bindings: dict[str, int]):
+        assert self.nvshmem is not None and self._signals is not None
+        peer = self._peer_rank(node.pe, bindings)
+        if peer == MPI_PROC_NULL:
+            return None
+        expansion = node.expand(self.sdfg, bindings)
+        # which lowering the shape dispatch chose (§5.3.1), per executed put
+        count = bound_counter("sdfg.nvshmem.expansions", kind=expansion.kind)
+        src_shape = self._shape_of(node.src.data, bindings)
+        dst_shape = self._shape_of(node.dst.data, bindings)
+        nbytes = node.src.volume(src_shape, bindings) * 8
+        with_data, elements, data = self.with_data, max(1, nbytes // 8), node.src.data
+        signals, flag, signal_value = self._signals, node.flag_index, node.signal_value
+        signaled, scope = flag is not None, self.comm_scope
+        # contiguous: one composite call; unsignaled, nobody is notified
+        putmem = ("putmem_signal" if signaled else "putmem") + ("_nbi" if node.nbi else "")
+        dst_sym = dst_index = src = src_index = None
+        if with_data:
+            dst_sym = self._sym_arrays.get(node.dst.data)
+            dst_index = node.dst.resolve(dst_shape, bindings)
+            src, src_index = rs.arrays[data], node.src.resolve(src_shape, bindings)
 
-    def _persistent_host_program(self, rank: int, rs: _RankState):
-        elements = self.sdfg.body.elements
-        if (len(elements) == 1 and isinstance(elements[0], LoopRegion)
-                and getattr(elements[0], "comm_specialized", False)):
-            return self._specialized_host_program(rank, rs, elements[0])
-        host = self.ctx.host(rank)
-        stream = self.ctx.stream(rank, "stream")
-        executor = self
+        # §5.3.2: generated code issues from a single thread by default
+        def put(device: _Device, bindings: dict[str, int]):
+            count()
+            nv = device.nv
+            value = evaluate_expr(signal_value, bindings) if signaled else 0
+            values = np.array(src[src_index]) if with_data else 0.0
+            if expansion.access is AccessKind.CONTIGUOUS:
+                yield from getattr(nv, putmem)(
+                    dst_sym, dst_index, values, *((signals, flag, value) if signaled else ()),
+                    dest_pe=peer, nbytes=nbytes, scope=scope, name=f"put:{data}")
+                return
+            if expansion.kind == "p_mapped" or expansion.access is AccessKind.STRIDED:
+                issue = nv.p_mapped if expansion.kind == "p_mapped" else nv.iput
+                yield from issue(dst_sym, dst_index,
+                                 np.atleast_1d(values).ravel() if with_data else values,
+                                 dest_pe=peer, elements=elements, name=f"{expansion.kind}:{data}")
+            else:  # scalar
+                scalar = float(np.asarray(values).reshape(-1)[0]) if with_data else 0.0
+                yield from nv.p(dst_sym, dst_index, scalar, dest_pe=peer, name=f"p:{data}")
+            yield from nv.quiet()
+            if signaled:
+                yield from nv.signal_op(signals, flag, value, dest_pe=peer)
+        return put
+
+    def _bind_wait(self, node: SignalWait, bindings: dict[str, int]):
+        assert self.nvshmem is not None and self._signals is not None
+        # SPMD: skip the wait when the matching sender is PROC_NULL —
+        # generated code guards on the same peer parameter as the
+        # original Irecv, recorded on the node at transform time.
+        guard = getattr(node, "peer_param", None)
+        if guard is not None and self._peer_rank(guard, bindings) == MPI_PROC_NULL:
+            return None
+        signals, flag, value = self._signals, node.flag_index, node.value
+        return lambda device, bindings: device.nv.signal_wait_until(
+            signals, flag, WaitCond.GE, evaluate_expr(value, bindings))
+
+    # ======================= host programs =======================
+
+    def _device(self, rs: _RankState, dev, grid) -> _Device:
+        nv = self.nvshmem.device(rs.rank, lane=dev.lane) if self.nvshmem is not None else None
+        return _Device(dev, grid, nv)
+
+    def _host_program(self, rs: _RankState, make_groups=None):
+        """Discrete: walk on the host, then drain the device.  Persistent:
+        one cooperative kernel, by default with a single TB group walking
+        the whole program."""
+        body = self.sdfg.body.elements
+        if not self.persistent:
+            yield from self._walk(body, rs, rs.bindings, None)
+            yield from rs.host.stream_sync(rs.stream)
+            return
 
         def group_body(dev, grid):
-            def run_region(region: Region):
-                for el in region.elements:
-                    if isinstance(el, LoopRegion):
-                        lo = evaluate_expr(el.start, rs.bindings)
-                        hi = evaluate_expr(el.end, rs.bindings)
-                        for t in range(lo, hi):
-                            rs.bindings[el.var] = t
-                            yield from run_region(el)
-                        rs.bindings.pop(el.var, None)
-                    else:
-                        yield from executor._run_state_device(el, rank, rs, dev, grid)
+            yield from self._walk(body, rs, rs.bindings, self._device(rs, dev, grid))
 
-            yield from run_region(self.sdfg.body)
-
-        def body():
-            blocks = self.ctx.node.gpu.max_coresident_blocks(1024)
-            kernel = yield from launch_persistent(
-                host, stream, f"{self.sdfg.name}_persistent",
-                [TBGroup("program", blocks, group_body)],
-            )
-            yield from host.event_sync(kernel.event)
-
-        return body()
+        blocks = self.ctx.node.gpu.max_coresident_blocks(1024)
+        name = f"{self.sdfg.name}_persistent"
+        if make_groups is None:
+            groups = [TBGroup("program", blocks, group_body)]
+        else:
+            groups, name = make_groups(blocks), f"{name}_specialized"
+        kernel = yield from launch_persistent(rs.host, rs.stream, name, groups)
+        yield from rs.host.event_sync(kernel.event)
 
     # -- §5.4 future work: TB-specialized generated code -------------------------
 
-    def _specialized_host_program(self, rank: int, rs: _RankState, loop: LoopRegion):
+    def _specialized_host_program(self, rs: _RankState, loop: LoopRegion):
         """Two specialized TB groups inside the generated persistent
         kernel: a comm group running the NVSHMEM states and a compute
         group running the map states, ordered by local-memory progress
         flags instead of grid-wide barriers (cf. §4.1.2 and §5.4)."""
-        host = self.ctx.host(rank)
-        stream = self.ctx.stream(rank, "stream")
-        executor = self
-
+        if not all(isinstance(el, State) for el in loop.elements):
+            raise TypeError("comm-specialized loops cannot nest regions")
         # partition the loop body into alternating comm/comp runs
-        runs: list[tuple[str, list[State]]] = []
-        for el in loop.elements:
-            if not isinstance(el, State):
-                raise TypeError("comm-specialized loops cannot nest regions")
-            group = getattr(el, "tb_group", "comp")
-            if runs and runs[-1][0] == group:
-                runs[-1][1].append(el)
-            else:
-                runs.append((group, [el]))
-        per_iter = {"comm": sum(1 for g, _ in runs if g == "comm"),
-                    "comp": sum(1 for g, _ in runs if g == "comp")}
+        runs = [(group, list(states)) for group, states in
+                groupby(loop.elements, key=lambda el: getattr(el, "tb_group", "comp"))]
+        per_iter = {g: sum(1 for h, _ in runs if h == g) for g in ("comm", "comp")}
         poll = self.ctx.cost.host_flag_poll_us
         progress = {
-            "comm": LocalSpinFlag(self.ctx.sim, poll, name=f"gpu{rank}.comm_prog"),
-            "comp": LocalSpinFlag(self.ctx.sim, poll, name=f"gpu{rank}.comp_prog"),
+            "comm": LocalSpinFlag(self.ctx.sim, poll, name=f"gpu{rs.rank}.comm_prog"),
+            "comp": LocalSpinFlag(self.ctx.sim, poll, name=f"gpu{rs.rank}.comp_prog"),
         }
-        lo = evaluate_expr(loop.start, rs.bindings)
-        hi = evaluate_expr(loop.end, rs.bindings)
-        # per-group loop-variable bindings (the groups progress
-        # independently through iterations)
-        group_bindings = {g: dict(rs.bindings) for g in ("comm", "comp")}
+        iterations = self._bind(loop, rs, rs.bindings)
 
         def make_group(which: str):
             other = "comm" if which == "comp" else "comp"
+            # the groups progress through iterations independently
+            bindings = dict(rs.bindings)
 
             def body(dev, grid):
+                device = self._device(rs, dev, grid)
                 done = 0
-                for k, t in enumerate(range(lo, hi)):
-                    group_bindings[which][loop.var] = t
+                for k, t in enumerate(iterations):
+                    bindings[loop.var] = t
                     earlier_other = 0
                     for group, states in runs:
                         if group != which:
@@ -420,127 +514,27 @@ class SDFGExecutor:
                         yield from progress[other].wait_until(
                             k * per_iter[other] + earlier_other
                         )
-                        local = _RankState(group_bindings[which], rs.arrays, rs.pending)
-                        for state in states:
-                            yield from executor._run_state_device(
-                                state, rank, local, dev, grid, use_grid_sync=False
-                            )
+                        yield from self._walk(states, rs, bindings, device)
                         done += 1
                         progress[which].post(done)
                 # drain: let the other group finish its final runs
-                yield from progress[other].wait_until((hi - lo) * per_iter[other])
+                yield from progress[other].wait_until(len(iterations) * per_iter[other])
 
             return body
 
-        def host_body():
-            total = self.ctx.node.gpu.max_coresident_blocks(1024)
+        def groups(total: int) -> list[TBGroup]:
             comm_blocks = max(1, min(4, total - 1))
-            groups = [
-                TBGroup("comm", comm_blocks, make_group("comm")),
-                TBGroup("comp", total - comm_blocks, make_group("comp")),
-            ]
-            kernel = yield from launch_persistent(
-                host, stream, f"{self.sdfg.name}_persistent_specialized", groups
-            )
-            yield from host.event_sync(kernel.event)
+            return [TBGroup("comm", comm_blocks, make_group("comm")),
+                    TBGroup("comp", total - comm_blocks, make_group("comp"))]
 
-        return host_body()
+        return self._host_program(rs, groups)
 
-    def _run_state_device(self, state: State, rank: int, rs: _RankState, dev, grid,
-                          use_grid_sync: bool = True):
-        if state.tasklets and state.map_entries:
-            volume = self._state_volume(state, rs.bindings)
-            yield from dev.compute(volume, name=state.name)
-            if self.with_data:
-                self._execute_tasklets(state, rs, dict(rs.bindings))
-        for node in state.library_nodes:
-            if isinstance(node, PutmemSignal):
-                yield from self._run_putmem_signal(node, rank, rs, dev)
-            elif isinstance(node, SignalWait):
-                yield from self._run_signal_wait(node, rank, rs, dev)
-            else:
-                raise TypeError(f"device path cannot execute {node!r}")
-        if use_grid_sync and getattr(state, "sync_after", True):
-            yield from grid.wait()
 
-    def _run_putmem_signal(self, node: PutmemSignal, rank: int, rs: _RankState, dev):
-        assert self.nvshmem is not None and self._signals is not None
-        peer = self._peer_rank(node.pe, rs.bindings)
-        if peer == MPI_PROC_NULL:
-            return
-        nv = self.nvshmem.device(rank, lane=dev.lane)
-        expansion = node.expand(self.sdfg, rs.bindings)
-        src_shape = self._shape_of(node.src.data, rs.bindings)
-        dst_shape = self._shape_of(node.dst.data, rs.bindings)
-        nbytes = node.src.volume(src_shape, rs.bindings) * 8
-        signaled = node.flag_index is not None
-        value = evaluate_expr(node.signal_value, rs.bindings) if signaled else 0
-        dst_sym = self._sym_arrays.get(node.dst.data) if self.with_data else None
-        dst_index = node.dst.resolve(dst_shape, rs.bindings) if self.with_data else None
-        if self.with_data:
-            src_index = node.src.resolve(src_shape, rs.bindings)
-            values = np.array(rs.arrays[node.src.data][src_index])
-        else:
-            values = 0.0
-        # §5.3.2: generated code issues from a single thread by default
-        if expansion.access is AccessKind.CONTIGUOUS:
-            if signaled:
-                put = nv.putmem_signal_nbi if node.nbi else nv.putmem_signal
-                yield from put(
-                    dst_sym, dst_index, values, self._signals, node.flag_index,
-                    value, dest_pe=peer, nbytes=nbytes, scope=self.comm_scope,
-                    name=f"put:{node.src.data}",
-                )
-            else:  # unsignaled put: data moves, nobody is notified
-                put = nv.putmem_nbi if node.nbi else nv.putmem
-                yield from put(
-                    dst_sym, dst_index, values, dest_pe=peer, nbytes=nbytes,
-                    scope=self.comm_scope, name=f"put:{node.src.data}",
-                )
-        elif expansion.kind == "p_mapped":
-            yield from nv.p_mapped(
-                dst_sym, dst_index,
-                np.atleast_1d(values).ravel() if self.with_data else values,
-                dest_pe=peer, elements=max(1, nbytes // 8),
-                name=f"p_mapped:{node.src.data}",
-            )
-            yield from nv.quiet()
-            if signaled:
-                yield from nv.signal_op(self._signals, node.flag_index, value, dest_pe=peer)
-        elif expansion.access is AccessKind.STRIDED:
-            yield from nv.iput(
-                dst_sym, dst_index, np.atleast_1d(values).ravel() if self.with_data else values,
-                dest_pe=peer, elements=max(1, nbytes // 8), name=f"iput:{node.src.data}",
-            )
-            yield from nv.quiet()
-            if signaled:
-                yield from nv.signal_op(self._signals, node.flag_index, value, dest_pe=peer)
-        else:  # scalar
-            scalar = float(np.asarray(values).reshape(-1)[0]) if self.with_data else 0.0
-            yield from nv.p(dst_sym, dst_index, scalar, dest_pe=peer,
-                            name=f"p:{node.src.data}")
-            yield from nv.quiet()
-            if signaled:
-                yield from nv.signal_op(self._signals, node.flag_index, value, dest_pe=peer)
-
-    def _run_signal_wait(self, node: SignalWait, rank: int, rs: _RankState, dev):
-        assert self.nvshmem is not None and self._signals is not None
-        # SPMD: skip the wait when the matching sender is PROC_NULL —
-        # generated code guards on the peer parameter. The peer of a
-        # wait is the conjugate side's parameter; we detect "no sender"
-        # by checking whether any signal could arrive: the flag stays 0
-        # for edge ranks. Generated code uses the same guard variable
-        # as the original Irecv; we reconstruct it from the pairing
-        # stored at transform time when available.
-        guard = getattr(node, "peer_param", None)
-        if guard is not None:
-            if self._peer_rank(guard, rs.bindings) == MPI_PROC_NULL:
-                return
-        nv = self.nvshmem.device(rank, lane=dev.lane)
-        value = evaluate_expr(node.value, rs.bindings)
-        yield from nv.signal_wait_until(
-            self._signals, node.flag_index, WaitCond.GE, value
-        )
+def _take_all(pending: list) -> list:
+    """Hand a ``Waitall`` the outstanding requests, leaving none behind."""
+    taken = pending[:]
+    pending.clear()
+    return taken
 
 
 class _ScalarProxy:

@@ -16,8 +16,8 @@ once and classifies its map:
     The codegen-faithful fallback: the map runs point by point the way
     the emitted CUDA kernel would (one ``__i``-indexed evaluation per
     map point).  Only available for affine tasklets; used when
-    vectorization is disabled and by the validation mode that asserts
-    the two paths produce bit-identical arrays.
+    vectorization is disabled, and by the tests that assert the two
+    paths produce bit-identical arrays.
 
 ``GENERIC``
     Anything the affine analysis cannot prove (calls, unknown names,
@@ -36,7 +36,7 @@ import ast
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -50,13 +50,14 @@ __all__ = [
     "StatePlan",
     "TaskletPlan",
     "active_fastpath_mode",
+    "bound_counter",
     "plan_state",
     "specialize_maps",
     "use_fastpath_mode",
 ]
 
 #: legal executor tasklet-execution modes (see SDFGExecutor)
-FASTPATH_MODES = ("vector", "scalar", "validate")
+FASTPATH_MODES = ("vector", "scalar")
 
 _active_mode = "vector"
 
@@ -73,7 +74,7 @@ def use_fastpath_mode(mode: str) -> Iterator[str]:
     Sweep code must *capture* the ambient mode into worker arguments in
     the main process (exactly like ``active_fault_profile()``): worker
     processes never inherit it, and the cache key must see it — a
-    ``validate`` row and a ``vector`` row are bit-identical by design,
+    ``scalar`` row and a ``vector`` row are bit-identical by design,
     but a stale-cache audit still wants distinct keys per mode.
     """
     global _active_mode
@@ -136,10 +137,9 @@ class TaskletPlan:
     # -- execution -----------------------------------------------------------
 
     def run_vectorized(self, arrays: dict[str, np.ndarray],
-                       bindings: dict[str, int]) -> None:
-        """Whole-map NumPy slice execution (also the GENERIC path)."""
-        shape = arrays[self.out_memlet.data].shape
-        index = self.out_memlet.resolve(shape, bindings)
+                       bindings: dict[str, int], index: tuple) -> None:
+        """Whole-map NumPy slice execution (also the GENERIC path) into
+        the output subset ``index`` that :meth:`StatePlan.bind` resolved."""
         namespace = {**arrays, **bindings}
         value = eval(self.vector_code, _EVAL_GLOBALS, namespace)  # noqa: S307
         arrays[self.out_memlet.data][index] = value
@@ -201,52 +201,52 @@ class StatePlan:
     def __init__(self, plans: tuple[TaskletPlan, ...]) -> None:
         self.plans = plans
 
+    def bind(self, arrays: dict[str, np.ndarray], bindings: dict[str, int],
+             *, mode: str = "vector") -> Callable[[dict[str, int]], None]:
+        """Resolve each tasklet's path, output slice and ``map_exec``
+        counter once; the returned callable runs the state on ``arrays``."""
+        runs = []
+        for plan in self.plans:
+            generic = plan.mode is MapMode.GENERIC
+            taken = ("scalar" if mode == "scalar" and not generic
+                     else "generic" if generic else "vectorized")
+            index = (None if taken == "scalar" else
+                     plan.out_memlet.resolve(arrays[plan.out_memlet.data].shape, bindings))
+            runs.append((plan, index, bound_counter("sdfg.fastpath.map_exec", mode=taken)))
+
+        def execute(bindings: dict[str, int]) -> None:
+            for plan, index, count in runs:
+                if index is None:
+                    plan.run_scalar(arrays, bindings)
+                else:
+                    plan.run_vectorized(arrays, bindings, index)
+                count()
+        return execute
+
     def execute(self, arrays: dict[str, np.ndarray], bindings: dict[str, int],
                 *, mode: str = "vector") -> None:
-        m = active_metrics()
-        for plan in self.plans:
-            if mode == "scalar" and plan.mode is not MapMode.GENERIC:
-                taken = "scalar"
-                plan.run_scalar(arrays, bindings)
-            elif mode == "validate" and plan.mode is not MapMode.GENERIC:
-                taken = "validate"
-                _run_validated(plan, arrays, bindings)
-            else:
-                taken = "generic" if plan.mode is MapMode.GENERIC else "vectorized"
-                plan.run_vectorized(arrays, bindings)
-            if m is not None:
-                _exec_counter(m, taken).inc()
+        self.bind(arrays, bindings, mode=mode)(bindings)
 
 
-#: resolved map_exec counters, keyed on registry identity — label
-#: canonicalization is too slow for the per-map-execution path
-_exec_memo: tuple[Any, dict[str, Any]] | None = None
+def _no_count() -> None:
+    pass
 
 
-def _exec_counter(m, taken: str):
-    global _exec_memo
-    if _exec_memo is None or _exec_memo[0] is not m:
-        _exec_memo = (m, {})
-    counter = _exec_memo[1].get(taken)
-    if counter is None:
-        counter = _exec_memo[1][taken] = m.counter("sdfg.fastpath.map_exec",
-                                                   mode=taken)
-    return counter
+def bound_counter(name: str, **labels: Any) -> Callable[[], None]:
+    """``inc()`` of one counter in the active registry, bound once.  The
+    series is created on the first call, so a bound operation that never
+    runs leaves no zero row in the metrics dump."""
+    m = active_metrics()
+    if m is None:
+        return _no_count
+    handle = None
 
-
-def _run_validated(plan: TaskletPlan, arrays: dict[str, np.ndarray],
-                   bindings: dict[str, int]) -> None:
-    """Run both paths; assert the fast path is bit-identical."""
-    name = plan.out_memlet.data
-    scratch = dict(arrays)
-    scratch[name] = arrays[name].copy()
-    plan.run_scalar(scratch, bindings)
-    plan.run_vectorized(arrays, bindings)
-    if not np.array_equal(arrays[name], scratch[name]):
-        raise AssertionError(
-            f"vectorized map for tasklet {plan.tasklet.label!r} diverged "
-            f"from the scalar fallback"
-        )
+    def inc() -> None:
+        nonlocal handle
+        if handle is None:
+            handle = m.counter(name, **labels)
+        handle.inc()
+    return inc
 
 
 # ---------------------------- analysis ----------------------------------------
@@ -395,7 +395,7 @@ def _plan_tasklet(state, tasklet: Tasklet, sdfg) -> TaskletPlan:
                 out_dim = out_memlet.subset[d]
                 if kind == "slice" and not isinstance(out_dim, Range):
                     raise _NotAffine(f"{ref.array}: slice along scalar output dim {d}")
-        scalar_src = ast.unparse(ast.fix_missing_locations(scalar_tree))
+        scalar_src = ast.unparse(scalar_tree)  # unparse needs no locations
         scalar_code = _compiled(scalar_src)
         mode = MapMode.VECTORIZED
     except _NotAffine:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.metrics import active_metrics
 from repro.sdfg.memlet import AccessKind, Memlet
 from repro.sdfg.nodes import LibraryNode
 from repro.sdfg.symbols import Expr, expr_to_str
@@ -40,14 +39,6 @@ class NVSHMEMExpansion:
     kind: str            #: "putmem_signal_nbi" | "iput" | "p" | "signal_wait"
     ops: tuple[str, ...]  #: generated call sequence, in order
     access: AccessKind | None
-
-
-def _counted(expansion: NVSHMEMExpansion) -> NVSHMEMExpansion:
-    """Record which lowering the shape dispatch chose (§5.3.1 table)."""
-    m = active_metrics()
-    if m is not None:
-        m.counter("sdfg.nvshmem.expansions", kind=expansion.kind).inc()
-    return expansion
 
 
 def _concrete_shape(sdfg: Any, data: str, bindings: dict[str, int]) -> tuple[int, ...]:
@@ -108,16 +99,16 @@ class PutmemSignal(LibraryNode):
         tail = ("quiet", "signal_op") if signaled else ("quiet",)
         if self.implementation == "mapped" and kind is not AccessKind.SCALAR:
             # §5.3.2 Mapped specialization: per-element p across threads
-            return _counted(NVSHMEMExpansion("p_mapped", ("p_mapped", *tail), kind))
+            return NVSHMEMExpansion("p_mapped", ("p_mapped", *tail), kind)
         if kind is AccessKind.CONTIGUOUS:
             if signaled:
                 op = "putmem_signal_nbi" if self.nbi else "putmem_signal"
             else:
                 op = "putmem_nbi" if self.nbi else "putmem"
-            return _counted(NVSHMEMExpansion(op, (op,), kind))
+            return NVSHMEMExpansion(op, (op,), kind)
         if kind is AccessKind.STRIDED:
-            return _counted(NVSHMEMExpansion("iput", ("iput", *tail), kind))
-        return _counted(NVSHMEMExpansion("p", ("p", *tail), kind))
+            return NVSHMEMExpansion("iput", ("iput", *tail), kind)
+        return NVSHMEMExpansion("p", ("p", *tail), kind)
 
     def __repr__(self) -> str:
         sig = (
@@ -140,7 +131,7 @@ class SignalWait(LibraryNode):
         self.value = value
 
     def expand(self, sdfg: Any, bindings: dict[str, int]) -> NVSHMEMExpansion:
-        return _counted(NVSHMEMExpansion("signal_wait", ("signal_wait_until",), None))
+        return NVSHMEMExpansion("signal_wait", ("signal_wait_until",), None)
 
     def __repr__(self) -> str:
         return f"<SignalWait sig[{self.flag_index}] >= {expr_to_str(self.value)}>"

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Union
 
-from repro.sdfg.symbols import Expr, evaluate_expr, expr_to_str
+from repro.sdfg.symbols import Expr, evaluate_expr, expr_to_str, free_symbols
 
 __all__ = ["AccessKind", "Memlet", "Range"]
 
@@ -137,6 +137,14 @@ class Memlet:
             if start != 0 or stop != size:
                 return AccessKind.STRIDED
         return AccessKind.CONTIGUOUS
+
+    def free_symbols(self) -> set[str]:
+        """Names of the symbols the subset's indices and bounds read."""
+        names: set[str] = set()
+        for dim in self.subset:
+            for bound in ((dim.start, dim.stop) if isinstance(dim, Range) else (dim,)):
+                names |= free_symbols(bound)
+        return names
 
     def __repr__(self) -> str:
         dims = []

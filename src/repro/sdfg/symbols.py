@@ -19,6 +19,7 @@ __all__ = [
     "code_cache_stats",
     "evaluate_expr",
     "expr_to_str",
+    "free_symbols",
     "publish_code_cache_stats",
 ]
 
@@ -169,6 +170,15 @@ def evaluate_expr(expr: Expr, bindings: dict[str, int]) -> int:
     if isinstance(expr, int) and not isinstance(expr, bool):
         return int(expr)
     raise TypeError(f"not a symbolic expression: {expr!r}")
+
+
+def free_symbols(expr: Expr) -> set[str]:
+    """Names of the symbols ``expr`` reads."""
+    if isinstance(expr, Sym):
+        return {expr.name}
+    if isinstance(expr, BinOp):
+        return free_symbols(expr.lhs) | free_symbols(expr.rhs)
+    return set()
 
 
 def _validate_ops(expr: Expr) -> None:

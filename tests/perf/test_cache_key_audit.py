@@ -32,8 +32,8 @@ def _dace_key(cache, fault_profile=None, fastpath="vector"):
 class TestKeyPerturbation:
     def test_fastpath_mode_perturbs_key(self, cache):
         keys = {_dace_key(cache, fastpath=mode)
-                for mode in ("vector", "scalar", "validate")}
-        assert len(keys) == 3
+                for mode in ("vector", "scalar")}
+        assert len(keys) == 2
 
     def test_fault_profile_perturbs_key(self, cache):
         keys = {_dace_key(cache, fault_profile=spec)
@@ -117,9 +117,9 @@ class TestAmbientCapture:
     def test_fig63b_captures_fastpath_and_profile(self):
         from repro.bench.figures import fig63b_dace_2d
 
-        with use_fault_profile("degraded@2"), use_fastpath_mode("validate"):
+        with use_fault_profile("degraded@2"), use_fastpath_mode("scalar"):
             _, tasks = self._captured_tasks(fig63b_dace_2d)
-        assert all(t[-2:] == ("degraded@2", "validate") for t in tasks)
+        assert all(t[-2:] == ("degraded@2", "scalar") for t in tasks)
 
     def test_ambient_fastpath_mode_restores(self):
         assert active_fastpath_mode() == "vector"

@@ -1,8 +1,9 @@
 """Vectorized-map specialization vs the scalar fallback.
 
-The tentpole contract: for every affine stencil tasklet the vectorized
+The contract: for every affine stencil tasklet the vectorized
 (whole-map NumPy slice) execution must be bit-identical to the
-codegen-faithful scalar loop, on the real 1D/2D/3D Jacobi SDFGs.
+codegen-faithful scalar loop, on the real 1D/2D/3D Jacobi SDFGs and
+every compiler pipeline.
 """
 
 import numpy as np
@@ -28,6 +29,8 @@ from repro.sdfg.programs import (
     cpufree_pipeline,
 )
 from repro.sdfg.symbols import Sym
+from repro.sdfg.transforms import auto_overlap
+from repro.sdfg.validation import validate
 from repro.sim import Tracer
 
 
@@ -38,18 +41,16 @@ def _final_arrays(sdfg, rank_args, num_gpus, fastpath):
 
 
 def _assert_modes_identical(build, args, ranks):
-    """Run the same program under all three modes; arrays must be
-    bit-identical (validate mode additionally self-checks per map)."""
-    results = {}
-    for mode in ("vector", "scalar", "validate"):
-        results[mode] = _final_arrays(build(), args, ranks, mode)
-    for mode in ("scalar", "validate"):
-        for rank, (got, want) in enumerate(zip(results[mode], results["vector"])):
-            for name in want:
-                np.testing.assert_array_equal(
-                    got[name], want[name],
-                    err_msg=f"{mode} diverged from vector: rank {rank}, array {name}",
-                )
+    """Run the same program under both modes; arrays must be
+    bit-identical."""
+    vector = _final_arrays(build(), args, ranks, "vector")
+    scalar = _final_arrays(build(), args, ranks, "scalar")
+    for rank, (got, want) in enumerate(zip(scalar, vector)):
+        for name in want:
+            np.testing.assert_array_equal(
+                got[name], want[name],
+                err_msg=f"scalar diverged from vector: rank {rank}, array {name}",
+            )
 
 
 class TestJacobiBitIdentical:
@@ -84,6 +85,46 @@ class TestJacobiBitIdentical:
         args = decomp.rank_args(u0, 3)
         _assert_modes_identical(
             lambda: cpufree_pipeline(build_jacobi_3d_sdfg(), CONJUGATES_1D), args, 2)
+
+
+#: the three compile programs: (builder, conjugates, initial field, decomposition)
+_PROGRAMS = {
+    "jacobi_1d": (build_jacobi_1d_sdfg, CONJUGATES_1D, (34,),
+                  lambda ranks: SlabDecomposition1D(32, ranks)),
+    "jacobi_2d": (build_jacobi_2d_sdfg, CONJUGATES_2D, (18, 18),
+                  lambda ranks: GridDecomposition2D(16, 16, ranks)),
+    "jacobi_3d": (build_jacobi_3d_sdfg, CONJUGATES_1D, (18, 10, 10),
+                  lambda ranks: SlabDecomposition3D(16, 8, ranks)),
+}
+
+
+def _pipelined(program, pipeline):
+    build, conjugates, _, _ = _PROGRAMS[program]
+    if pipeline == "baseline":
+        return baseline_pipeline(build())
+    if pipeline.startswith("auto_overlap_"):
+        sdfg = cpufree_pipeline(build(), conjugates)
+        auto_overlap(sdfg, chunks=int(pipeline.rsplit("_", 1)[1]))
+        validate(sdfg)
+        return sdfg
+    options = {"cpufree_nbi": {}, "cpufree_blocking": {"nbi": False},
+               "cpufree_specialized": {"specialize_comm": True}}[pipeline]
+    return cpufree_pipeline(build(), conjugates, **options)
+
+
+@pytest.mark.parametrize("ranks", [4, 8])
+@pytest.mark.parametrize("pipeline", [
+    "baseline", "cpufree_nbi", "cpufree_blocking", "cpufree_specialized",
+    "auto_overlap_2", "auto_overlap_4",
+])
+@pytest.mark.parametrize("program", sorted(_PROGRAMS))
+def test_every_pipeline_scalar_matches_vector(program, pipeline, ranks):
+    """Scalar and vector executor arrays are bit-identical on every
+    program x pipeline the ``compile`` benchmark workload runs."""
+    _, _, shape, decomposition = _PROGRAMS[program]
+    u0 = np.random.default_rng(ranks).random(shape)
+    args = decomposition(ranks).rank_args(u0, 4)
+    _assert_modes_identical(lambda: _pipelined(program, pipeline), args, ranks)
 
 
 class TestSpecializationPass:

@@ -1,5 +1,6 @@
 """Perf-smoke goldens: a canonical observed run must reproduce the
-committed metrics dump, Chrome trace and what-if reports byte for byte.
+committed metrics dump, Chrome trace and what-if reports byte for byte,
+and the DaCe figures must reproduce their metrics dump.
 
 This is the local half of the CI ``perf-smoke`` job: every engine or
 transport optimization claims to be invisible to published output, and
@@ -12,6 +13,7 @@ import pathlib
 
 import pytest
 
+from repro.bench.__main__ import main as bench_main
 from repro.obs.__main__ import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -40,3 +42,13 @@ def test_whatif_report_matches_committed_golden(tmp_path, capsys, golden,
     out = tmp_path / "whatif.json"
     assert main(["whatif", *RUN, *variant_args, "--json-out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_dace_figure_metrics_match_committed_golden(tmp_path, capsys):
+    """Figs 6.3a/6.3b run the SDFG executor: this dump pins its
+    ``sdfg.*`` counters and the metrics of every DaCe point."""
+    metrics = tmp_path / "metrics.json"
+    rc = bench_main(["6.3a", "6.3b", "--no-cache", "--jobs", "1",
+                     "--out", str(tmp_path / "report.md"), "--metrics-out", str(metrics)])
+    assert rc == 0
+    assert metrics.read_bytes() == (GOLDEN / "dace_figures_metrics.json").read_bytes()

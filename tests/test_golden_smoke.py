@@ -1,6 +1,8 @@
 """Perf-smoke goldens: a canonical observed run must reproduce the
 committed metrics dump, Chrome trace and what-if reports byte for byte,
-and the DaCe figures must reproduce their metrics dump.
+and the DaCe figures must reproduce their metrics dump.  The chaos,
+sanitizer and recovery reports pin the transport's behaviour under
+fault plans, under the happens-before sanitizer, and across a crash.
 
 This is the local half of the CI ``perf-smoke`` job: every engine or
 transport optimization claims to be invisible to published output, and
@@ -14,7 +16,10 @@ import pathlib
 import pytest
 
 from repro.bench.__main__ import main as bench_main
+from repro.faults.__main__ import main as faults_main
 from repro.obs.__main__ import main
+from repro.recover.__main__ import main as recover_main
+from repro.sanitize.__main__ import main as sanitize_main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 RUN = ["--shape", "66x130", "--gpus", "2", "--iterations", "4"]
@@ -52,3 +57,23 @@ def test_dace_figure_metrics_match_committed_golden(tmp_path, capsys):
                      "--out", str(tmp_path / "report.md"), "--metrics-out", str(metrics)])
     assert rc == 0
     assert metrics.read_bytes() == (GOLDEN / "dace_figures_metrics.json").read_bytes()
+
+
+SMALL = ["--gpus", "2", "--shape", "34x66"]
+
+
+@pytest.mark.parametrize("golden,entry,args", [
+    ("chaos_report.json", faults_main, [*SMALL, "--iterations", "6"]),
+    ("sanitize_sweep.json", sanitize_main,
+     ["sweep", *SMALL, "--iterations", "4"]),
+    ("sanitize_sweep_transient.json", sanitize_main,
+     ["sweep", *SMALL, "--iterations", "4", "--fault-profile", "transient"]),
+    ("recover_report.json", recover_main, []),
+])
+def test_transport_reports_match_committed_golden(tmp_path, capsys, golden,
+                                                  entry, args):
+    """Fault-plan deliveries (jitter, retry, loss, FIFO per route), the
+    sanitizer's happens-before clocks and crash recovery, byte for byte."""
+    out = tmp_path / golden
+    assert entry([*args, "--report-out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

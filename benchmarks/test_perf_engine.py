@@ -1,12 +1,12 @@
-"""Perf smoke benchmarks for the engine and transport hot paths.
+"""Perf smoke benchmarks for the engine and executor hot paths.
 
 Unlike the figure benchmarks (which measure *simulated* microseconds),
 these measure the *host* throughput of the hot loops the fast paths
-target: simulator events per wall-clock second, executor stencil cells
-per wall-clock second, and the event savings of transport coalescing.
-Everything lands in ``benchmark.extra_info`` so trajectories can be
-tracked across PRs (baseline numbers in BENCH_PR1.json; calendar-queue
-scheduler + coalescing numbers in BENCH_PR5.json).
+target: simulator events per wall-clock second and executor stencil
+cells per wall-clock second.  Everything lands in
+``benchmark.extra_info`` so trajectories can be tracked across PRs
+(baseline numbers in BENCH_PR1.json; calendar-queue scheduler numbers
+in BENCH_PR5.json).
 
 Run with::
 
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.hw import HGX_A100_8GPU
-from repro.nvshmem import NVSHMEMRuntime, SignalOp
 from repro.runtime import MultiGPUContext
 from repro.sdfg.codegen import SDFGExecutor
 from repro.sdfg.distributed import SlabDecomposition1D
@@ -52,37 +51,6 @@ def _engine_workload(n_chains: int = 200, hops: int = 50, *,
     started = time.perf_counter()
     sim.run()
     return time.perf_counter() - started, events
-
-
-def _halo_burst(coalesce: bool, pes: int = 4, blocks: int = 8,
-                rounds: int = 100) -> tuple[float, "NVSHMEMRuntime"]:
-    """Neighbor halo exchange: on each PE, ``blocks`` concurrent lanes
-    (thread-block groups) each put one same-size halo segment to the
-    ring neighbor per round.  Lanes on one PE issue in lock-step, so
-    their delivery legs share a ``(src, dst, arrival)`` slot — the
-    pattern transport coalescing batches.  Returns (wall seconds,
-    runtime)."""
-    ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(pes), coalesce_comm=coalesce)
-    rt = NVSHMEMRuntime(ctx)
-    arr = rt.malloc("halo", (64 * blocks,), fill=0.0)
-    sig = rt.malloc_signals("sig", pes)
-
-    def lane(pe, k):
-        dev = rt.device(pe)
-        dst = (pe + 1) % pes
-        for _ in range(rounds):
-            yield from dev.putmem_signal_nbi(
-                arr, slice(64 * k, 64 * (k + 1)), np.full(64, 1.0),
-                sig, pe, 1, dest_pe=dst, sig_op=SignalOp.ADD)
-            yield Delay(5.0)
-        yield from dev.quiet()
-
-    for pe in range(pes):
-        for k in range(blocks):
-            ctx.sim.spawn(lane(pe, k), name=f"pe{pe}.b{k}")
-    started = time.perf_counter()
-    ctx.run()
-    return time.perf_counter() - started, rt
 
 
 def _executor_workload(n_global: int = 60_000, ranks: int = 2,
@@ -133,30 +101,6 @@ class TestEngineThroughput:
         benchmark.extra_info["events_per_sec"] = round(rate)
         benchmark.extra_info["events"] = box["events"]
         assert rate > 50_000
-
-
-class TestTransportCoalescing:
-    def test_batched_vs_per_leg(self, benchmark):
-        """Wall time and engine-event savings of merging same-route
-        same-arrival delivery legs into one batched event.  Equivalence
-        of everything observable is asserted property-style in
-        tests/properties/test_coalesce_properties.py; this records the
-        trajectory numbers."""
-        box = {}
-
-        def run():
-            box["wall_on"], box["rt_on"] = _halo_burst(True)
-            box["wall_off"], box["rt_off"] = _halo_burst(False)
-
-        benchmark.pedantic(run, rounds=1, iterations=1)
-        rt_on, rt_off = box["rt_on"], box["rt_off"]
-        benchmark.extra_info["wall_coalesced_s"] = round(box["wall_on"], 4)
-        benchmark.extra_info["wall_per_leg_s"] = round(box["wall_off"], 4)
-        benchmark.extra_info["batches"] = rt_on.n_batches
-        benchmark.extra_info["coalesced_legs"] = rt_on.n_coalesced_legs
-        # per-leg mode never batches; coalesced mode merges every leg
-        assert rt_off.n_batches == 0 and rt_off.n_coalesced_legs == 0
-        assert 0 < rt_on.n_batches < rt_on.n_coalesced_legs
 
 
 class TestExecutorThroughput:

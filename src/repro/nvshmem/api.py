@@ -13,13 +13,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.nvshmem.device import NVSHMEMDevice, SignalOp
+from repro.nvshmem.device import NVSHMEMDevice
 from repro.nvshmem.heap import SignalArray, SymmetricArray, SymmetricHeap
 from repro.nvshmem.teams import Team
 from repro.runtime.context import MultiGPUContext
 from repro.runtime.mpi import HostBarrier
 from repro.sim import Flag
-from repro.sim.stacked import Stacked
 
 __all__ = ["NVSHMEMRuntime", "Team"]
 
@@ -51,27 +50,19 @@ class NVSHMEMRuntime:
         # satisfying one), not merely the last to land.
         self._flow_seq = 0
         self._signal_flow: dict[tuple[int, int, int], tuple[int, int]] = {}
-        # Per-(src, dst) route accounting for ``fence``: plain-int
-        # issue/completion counters (always maintained — dict writes,
-        # zero simulator events) plus a completion Flag created lazily
-        # only when a post-fence delivery actually has to wait for a
-        # pre-fence one.  A fence snapshots the issue counter as the
-        # route's "bar"; deliveries issued later hold their effects
-        # until the done counter reaches their bar.  Runs that never
-        # fence (or fence with nothing in flight) create no flags and
-        # stay byte-identical.
+        # Per-(src, dst) route ordering: plain-int issue/completion
+        # counters (dict writes, zero simulator events).  A delivery leg
+        # that must wait for N earlier completions on its route parks
+        # on the route's list until the done counter reaches N (see
+        # ``route_issue`` for the one rule that sets N).  The completion
+        # Flag carries happens-before edges for the sanitizer only; it
+        # is created when a leg first parks, or on a route's first
+        # issue under a fault plan.
         self._route_issued: dict[tuple[int, int], int] = {}
         self._route_done: dict[tuple[int, int], int] = {}
         self._route_done_flag: dict[tuple[int, int], Flag] = {}
+        self._route_parked: dict[tuple[int, int], list] = {}
         self._fence_bar: dict[tuple[int, int], int] = {}
-        # Per-(src, dst) delivery channels, engaged only under an active
-        # fault plan: jitter and retransmission must not reorder
-        # deliveries between the same pair of PEs (real transports keep
-        # point-to-point ordering through link-level retry).  Each
-        # channel is an issue counter plus a "last completed seq" flag
-        # that delivery legs wait on before applying their effects.
-        self._chan_issue: dict[tuple[int, int], int] = {}
-        self._chan_done: dict[tuple[int, int], Flag] = {}
         #: NVSwitch domain of each PE (teams split along it)
         self._dom = [ctx.topology.domain_of(pe) for pe in range(self.n_pes)]
         # Op/wait accounting accumulated as plain slots shared by every
@@ -84,13 +75,6 @@ class NVSHMEMRuntime:
         #: nbytes, scope) on the happy path; unused under a fault plan
         self._wire_memo: dict = {}
         self._wait_hist: dict = {}
-        # Coalesced delivery batches: open batch per (src, dst, arrival
-        # time).  Fault-free, unmonitored delivery legs enqueue here
-        # instead of spawning one generator each; a single callback
-        # event applies the whole batch at arrival (see
-        # ``_deliver_batch`` for the per-leg bookkeeping, which mirrors
-        # the generator path op for op).
-        self._batches: dict[tuple[int, int, float], list] = {}
         # Teams (``nvshmemx_team_split_strided`` surface): the world
         # team plus lazily built per-domain and cross-domain splits.
         self._team_world: Team | None = None
@@ -99,10 +83,6 @@ class NVSHMEMRuntime:
         #: per-PE proxy-thread accounting (count, us) for inter-node
         #: puts, folded into nvshmem.proxy.* counters at flush
         self._proxy_acc: dict[int, list] = {}
-        #: coalescing statistics (engine-internal, not published —
-        #: published engine counters stay batching-invariant)
-        self.n_batches = 0
-        self.n_coalesced_legs = 0
         ctx.add_metric_flusher(self.flush_metrics)
 
     def flush_metrics(self) -> None:
@@ -134,109 +114,6 @@ class NVSHMEMRuntime:
         self._flow_seq += 1
         return self._flow_seq
 
-    def channel_seq(self, src: int, dst: int) -> tuple[int, Flag]:
-        """Allocate the next delivery sequence number on ``src -> dst``
-        and return it with the channel's completion flag (fault-mode
-        FIFO ordering — see ``_chan_issue`` above)."""
-        key = (src, dst)
-        done = self._chan_done.get(key)
-        if done is None:
-            done = self._chan_done[key] = Flag(
-                self.ctx.sim, 0, name=f"nvshmem.chan.pe{src}->pe{dst}"
-            )
-        seq = self._chan_issue.get(key, 0) + 1
-        self._chan_issue[key] = seq
-        return seq, done
-
-    def enqueue_coalesced(
-        self,
-        src: int,
-        dst: int,
-        wire_us: float,
-        write: Any,
-        signal: tuple[Flag, int, "SignalOp"] | None,
-        name: str,
-        flow: int | None,
-        signal_index: int | None,
-    ) -> None:
-        """Append one delivery leg to the open ``(src, dst)`` batch
-        arriving at ``now + wire_us``, opening the batch (one engine
-        callback event) if none exists.
-
-        Only fault-free, monitor-free, sanitizer-free, fence-clear legs
-        may be enqueued — the caller (``NVSHMEMDevice._deliver_async``)
-        guarantees it.  Virtual accounting: the generator path costs
-        one spawned process, two generator steps, one ready-queue pop
-        (the spawn step) and one calendar pop (the post-Delay step) per
-        leg; those counters are charged here so published engine
-        metrics are identical whichever path ran.
-        """
-        sim = self.ctx.sim
-        arrival = sim.now + wire_us
-        # Batched runs: arrival is a vector clock whose hash and
-        # equality follow the pilot member only — key by the full
-        # member tuple so legs merge only when EVERY member arrives
-        # at the same instant (a conservative subset of the scalar
-        # path's per-member merges; coalescing granularity never
-        # changes results, so the demuxed output is unaffected).
-        key = (src, dst,
-               arrival.v if isinstance(arrival, Stacked) else arrival)
-        batches = self._batches
-        batch = batches.get(key)
-        leg = (write, signal, name, flow, signal_index, sim.now)
-        if batch is None:
-            batches[key] = [leg]
-            sim.call_at(arrival, lambda: self._deliver_batch(key))
-            self.n_batches += 1
-        else:
-            batch.append(leg)
-        self.n_coalesced_legs += 1
-        sim.n_spawned += 1
-        sim.n_events += 2
-        sim.n_ready_pops += 1
-        sim.n_heap_pops += 1
-
-    def _deliver_batch(self, key: tuple[int, int, float]) -> None:
-        """Apply every leg of a coalesced batch, in issue order.
-
-        Per leg, this replays the generator delivery path exactly:
-        write, signal apply (+ flow attribution on value change), route
-        completion, pending drain + counter sample, wire-lane trace
-        span.  Interleaved effects (e.g. a ``quiet`` waking between two
-        legs' pending decrements) are impossible only because all legs
-        share one timestamp and waiter wakeups are scheduled, not run
-        inline — the same holds for the generator path, whose legs step
-        back-to-back within the timestep.
-        """
-        src, dst, _ = key
-        batch = self._batches.pop(key)
-        ctx = self.ctx
-        sim = ctx.sim
-        pending = self._pending[src]
-        tracer = ctx.tracer
-        counter_name = f"nvshmem.pending.pe{src}"
-        lane = f"wire.pe{src}->pe{dst}"
-        now = sim.now
-        for write, signal, name, flow, signal_index, start in batch:
-            if write is not None:
-                write()
-            if signal is not None:
-                flag, value, op = signal
-                before = flag.value
-                if op is SignalOp.SET:
-                    flag.set(value)
-                else:
-                    flag.add(value)
-                if (flow is not None and signal_index is not None
-                        and flag.value != before):
-                    self._note_signal_flow(dst, signal_index, flag.value, flow, src)
-            self.route_complete(src, dst)
-            pending.add(-1)
-            if tracer is not None:
-                tracer.add_counter(counter_name, now, pending.value)
-                meta = {"flow_s": flow} if flow is not None else None
-                tracer.record(lane, name, "comm", start, now, meta)
-
     def _note_signal_flow(
         self, pe: int, index: int, value: int, flow_id: int, src_pe: int
     ) -> None:
@@ -264,25 +141,66 @@ class NVSHMEMRuntime:
     # -- per-route ordering (fence) ----------------------------------------------
 
     def route_issue(self, src: int, dst: int) -> int:
-        """Count one non-blocking delivery issued on ``src -> dst``;
-        returns the fence bar the delivery must respect (0 = none)."""
+        """Count one non-blocking delivery issued on ``src -> dst`` and
+        return the number of route completions it must wait for before
+        applying its effects.
+
+        Under a fault plan the route is FIFO: every earlier delivery
+        (jitter and retransmission must not reorder a route).
+        Otherwise the fence bar: deliveries issued before the PE's last
+        ``fence`` on this route (0 = none, the common case).  Either
+        way the count is below the delivery's own sequence number, so
+        no delivery ever waits for itself.
+        """
         key = (src, dst)
-        self._route_issued[key] = self._route_issued.get(key, 0) + 1
+        seq = self._route_issued[key] = self._route_issued.get(key, 0) + 1
+        if self.ctx.faults is not None:
+            # created up front so it carries every predecessor's release
+            self.route_done_flag(src, dst)
+            return seq - 1
         return self._fence_bar.get(key, 0)
 
+    def route_hold(self, leg: Any) -> None:
+        """Apply ``leg``'s effects once its route allows them.
+
+        A leg whose predecessors are still in flight parks on the route
+        until ``route_complete`` releases it.  Under a fault plan a leg
+        always takes one zero-time hop before applying, parked or not.
+        """
+        key = (leg.src, leg.dst)
+        if self._route_done.get(key, 0) < leg.wait_for:
+            self.route_done_flag(*key)
+            self._route_parked.setdefault(key, []).append(leg)
+        elif leg.fifo:
+            self._release(leg, self._route_done_flag[key])
+        else:
+            leg.apply()
+
+    def _release(self, leg: Any, flag: Flag) -> None:
+        sim = self.ctx.sim
+        if sim.monitor is not None:
+            sim.monitor.acquired(leg, flag)
+        sim.call_at(sim.now, leg.apply)
+
     def route_complete(self, src: int, dst: int) -> None:
-        """Count one delivery on ``src -> dst`` as complete (called on
-        every exit path of a delivery leg, including lost and failed
-        ones, else fenced deliveries behind it would stall forever)."""
+        """Count one delivery on ``src -> dst`` as complete and release
+        the parked legs it satisfies, in park order (called on every
+        exit path of a delivery leg, including lost and failed ones,
+        else the legs behind it would stall forever)."""
         key = (src, dst)
-        done = self._route_done.get(key, 0) + 1
-        self._route_done[key] = done
+        done = self._route_done[key] = self._route_done.get(key, 0) + 1
         flag = self._route_done_flag.get(key)
         if flag is not None:
             flag.set(done)
-
-    def route_done_count(self, src: int, dst: int) -> int:
-        return self._route_done.get((src, dst), 0)
+        parked = self._route_parked.get(key)
+        if parked:
+            held = []
+            for leg in parked:
+                if leg.wait_for <= done:
+                    self._release(leg, flag)
+                else:
+                    held.append(leg)
+            parked[:] = held
 
     def route_done_flag(self, src: int, dst: int) -> Flag:
         """Completion flag for ``src -> dst``, created on first need

@@ -283,11 +283,13 @@ class NVSHMEMDevice:
         signal_index: int | None = None,
         allow_faults: bool = True,
     ) -> None:
-        """Spawn the asynchronous delivery leg of an ``nbi`` operation.
+        """Start the asynchronous delivery leg of an ``nbi`` operation.
 
-        ``flow`` tags the delivery span as the producer of a trace flow
-        event (the span ends exactly when the signal is applied, which
-        is what a downstream ``signal_wait_until`` chains on).
+        The leg is a :class:`_Leg`: a chain of engine callbacks, never a
+        process.  ``flow`` tags the delivery span as the producer of a
+        trace flow event (the span ends exactly when the signal is
+        applied, which is what a downstream ``signal_wait_until`` chains
+        on).
 
         Under an active fault plan the delivery may pick up jitter, be
         delayed, or be dropped: non-silent drops retry with exponential
@@ -296,130 +298,32 @@ class NVSHMEMDevice:
         pending counter still drains, but neither data nor signal ever
         arrive, which is the lost-signal hang the watchdog diagnoses.
         ``allow_faults=False`` exempts host-staged (degraded-path)
-        deliveries, which don't traverse the faulty NVLink.
-
-        Under faults, deliveries between the same ``(src, dst)`` pair
-        complete in issue order (each leg waits for its predecessor
-        before applying its effects): jitter and retransmission must
-        not let a later halo overtake an earlier one, exactly as real
-        transports preserve point-to-point ordering through link-level
-        retry.  Fault-free runs skip the machinery entirely — issue
-        order and a constant wire time already imply arrival order.
-
-        Fault-free runs with no engine monitor and no sanitizer take a
-        *coalesced* fast path instead of spawning a generator: the leg
-        joins the open batch for ``(src, dst, arrival)`` and a single
-        callback event applies every leg at arrival, in issue order,
-        with identical per-leg bookkeeping (see
-        :meth:`NVSHMEMRuntime.enqueue_coalesced`).  Any condition that
-        could observe per-leg scheduling — fault plans, the sanitizer's
-        happens-before edges, an unsatisfied fence bar — falls back to
-        the generator path.
+        deliveries, which don't traverse the faulty NVLink.  Under
+        faults, deliveries between the same ``(src, dst)`` pair also
+        complete in issue order: jitter and retransmission must not let
+        a later halo overtake an earlier one, exactly as real transports
+        preserve point-to-point ordering through link-level retry (see
+        :meth:`NVSHMEMRuntime.route_issue`).
         """
-        ctx = self._ctx
-        pending = self.runtime.pending(self.pe)
-        pending.add(1)
-        self._sample_pending()
-        sim = ctx.sim
         runtime = self.runtime
-        # fence ordering: remember the bar active at issue time (0 when
-        # the PE never fenced this route — the common, event-free case)
-        fence_bar = runtime.route_issue(self.pe, dest_pe)
-        if (self._faults is None and sim.monitor is None
-                and ctx.sanitizer is None and ctx.coalesce_comm
-                and (fence_bar == 0
-                     or runtime.route_done_count(self.pe, dest_pe) >= fence_bar)):
-            runtime.enqueue_coalesced(
-                self.pe, dest_pe, wire_us, write, signal, name, flow, signal_index
-            )
-            return
-        faults = self._faults if allow_faults else None
-        faulty = faults is not None and faults.delivery_faults_apply(self.pe, dest_pe)
-        if self._faults is not None:
-            seq, chan_done = self.runtime.channel_seq(self.pe, dest_pe)
+        runtime._pending[self.pe].add(1)
+        self._sample_pending()
+        sim = self._ctx.sim
+        leg = _Leg(self, dest_pe, wire_us, write, signal, name, flow, signal_index,
+                   runtime.route_issue(self.pe, dest_pe), allow_faults)
+        if sim.monitor is not None:
+            sim.monitor.spawned(leg, sim.current)
+        if leg.fifo:
+            sim.call_at(sim.now, leg.send)
         else:
-            seq, chan_done = None, None
-
-        def delivery() -> Generator[Any, Any, None]:
-            start = sim.now
-            lost = False
-            if faults is None:
-                yield Delay(wire_us)
-            elif not faulty:
-                yield Delay(wire_us + faults.transfer_jitter_us(self.pe, dest_pe))
-            else:
-                flag_name = signal[0].name if signal is not None else None
-                plan = faults.plan
-                attempt = 0
-                while True:
-                    yield Delay(wire_us + faults.transfer_jitter_us(self.pe, dest_pe))
-                    outcome, extra_us = faults.delivery_outcome(
-                        self.pe, dest_pe, name, flag_name, attempt)
-                    if outcome == "ok":
-                        break
-                    if outcome == "delay":
-                        yield Delay(extra_us)
-                        break
-                    if outcome == "lost":
-                        lost = True
-                        break
-                    attempt += 1
-                    if attempt > plan.retry_limit:
-                        pending.add(-1)
-                        self._sample_pending()
-                        if chan_done is not None:
-                            chan_done.set(seq)
-                        runtime.route_complete(self.pe, dest_pe)
-                        raise DeliveryError(
-                            f"{name}: pe{self.pe}->pe{dest_pe} delivery dropped "
-                            f"{attempt} time(s); retry limit {plan.retry_limit} "
-                            f"exhausted")
-                    yield Delay(faults.retry_backoff_us(attempt))
-                if attempt:
-                    faults.note_retries(self.pe, dest_pe, attempt)
-            if chan_done is not None:
-                # FIFO channel: hold effects until every earlier
-                # delivery on this (src, dst) pair has completed
-                yield WaitFlag(chan_done, ge=seq - 1)
-            if fence_bar and runtime.route_done_count(self.pe, dest_pe) < fence_bar:
-                # issued after a fence: hold effects until every
-                # pre-fence delivery on this route has completed (the
-                # bar is a pre-issue snapshot, so it is always < this
-                # delivery's own seq — no self-wait, no deadlock)
-                yield WaitFlag(runtime.route_done_flag(self.pe, dest_pe),
-                               ge=fence_bar)
-            if not lost:
-                if write is not None:
-                    write()
-                if signal is not None:
-                    flag, value, op = signal
-                    before = flag.value
-                    self._apply_signal(flag, value, op)
-                    if (flow is not None and signal_index is not None
-                            and flag.value != before):
-                        runtime._note_signal_flow(
-                            dest_pe, signal_index, flag.value, flow, self.pe)
-            if chan_done is not None:
-                # advance the channel even for lost deliveries, else
-                # everything behind the loss would stall forever
-                chan_done.set(seq)
-            runtime.route_complete(self.pe, dest_pe)
-            pending.add(-1)
-            self._sample_pending()
-            meta = {"flow_s": flow} if flow is not None and not lost else None
-            label = f"{name}:lost" if lost else name
-            self._ctx.trace(
-                f"wire.pe{self.pe}->pe{dest_pe}", label, "comm", start, sim.now, meta
-            )
-
-        sim.spawn(delivery(), name=f"nvshmem.{name}.pe{self.pe}->pe{dest_pe}")
+            sim.call_at(sim.now + wire_us, leg.arrived)
 
     def _writer(self, dst: "SymmetricArray", dst_index: Any, values: np.ndarray,
                 dest_pe: int, name: str = "put"):
         """Deferred store of ``values`` into PE ``dest_pe``'s copy of ``dst``.
 
-        Runs in the delivery process (or the caller, for blocking
-        puts), so a sanitizer attributes the store to the process whose
+        Runs in the delivery leg (or the caller, for blocking puts), so
+        a sanitizer attributes the store to the leg or process whose
         clock actually orders it — the chained signal then publishes
         exactly this store to waiters.
         """
@@ -825,3 +729,130 @@ class NVSHMEMDevice:
             yield from self.runtime.hierarchical_barrier(self.pe)
         else:
             yield from self.runtime.device_barrier().wait()
+
+
+class _Leg:
+    """One asynchronous delivery leg: issue, wire, landing, effects.
+
+    Each step is a bound method scheduled with ``Simulator.call_at``:
+
+    * ``send`` (fault plans only) starts one transmission attempt and
+      draws its jitter;
+    * ``arrived`` runs when the attempt reaches the destination and
+      decides its fault outcome (delay, drop and retry, silent loss);
+    * ``landed`` holds the effects until the route's ordering rule
+      allows them (:meth:`NVSHMEMRuntime.route_issue`);
+    * ``apply`` writes the data, updates the signal, completes the
+      route and drains the sender's pending counter.
+
+    The leg is also its own happens-before identity: the sanitizer sees
+    it spawned by the issuing process, and ``apply`` runs with
+    ``sim.current`` set to it.
+    """
+
+    __slots__ = ("runtime", "sim", "src", "dst", "wire_us", "write", "signal",
+                 "op", "flow", "signal_index", "wait_for", "fifo", "faults",
+                 "faulty", "start", "attempt", "lost")
+
+    def __init__(self, dev: NVSHMEMDevice, dst: int, wire_us: float, write: Any,
+                 signal: tuple[Flag, int, SignalOp] | None, op: str,
+                 flow: int | None, signal_index: int | None, wait_for: int,
+                 allow_faults: bool) -> None:
+        self.runtime = dev.runtime
+        self.sim = sim = dev.runtime.ctx.sim
+        self.src = dev.pe
+        self.dst = dst
+        self.wire_us = wire_us
+        self.write = write
+        self.signal = signal
+        self.op = op
+        self.flow = flow
+        self.signal_index = signal_index
+        #: route completions that must precede this leg's effects
+        self.wait_for = wait_for
+        #: a fault plan is active: the route is FIFO
+        self.fifo = dev._faults is not None
+        #: injector whose jitter applies (None: fault-free or host-staged)
+        self.faults = faults = dev._faults if allow_faults else None
+        self.faulty = faults is not None and faults.delivery_faults_apply(dev.pe, dst)
+        self.start = sim.now
+        self.attempt = 0
+        self.lost = False
+
+    @property
+    def name(self) -> str:
+        """Access origin reported by the sanitizer."""
+        return f"nvshmem.{self.op}.pe{self.src}->pe{self.dst}"
+
+    def send(self) -> None:
+        sim = self.sim
+        if self.faults is None:
+            sim.call_at(sim.now + self.wire_us, self.arrived)
+        else:
+            jitter = self.faults.transfer_jitter_us(self.src, self.dst)
+            sim.call_at(sim.now + (self.wire_us + jitter), self.arrived)
+
+    def arrived(self) -> None:
+        if self.faulty:
+            faults, sim = self.faults, self.sim
+            flag_name = self.signal[0].name if self.signal is not None else None
+            outcome, extra_us = faults.delivery_outcome(
+                self.src, self.dst, self.op, flag_name, self.attempt)
+            if outcome == "delay":
+                sim.call_at(sim.now + extra_us, self.landed)
+                return
+            if outcome == "lost":
+                self.lost = True
+            elif outcome != "ok":  # dropped: retransmit after a backoff
+                self.attempt += 1
+                limit = faults.plan.retry_limit
+                if self.attempt > limit:
+                    self.sim.current = self
+                    self._complete()
+                    raise DeliveryError(
+                        f"{self.op}: pe{self.src}->pe{self.dst} delivery dropped "
+                        f"{self.attempt} time(s); retry limit {limit} exhausted")
+                sim.call_at(sim.now + faults.retry_backoff_us(self.attempt), self.send)
+                return
+        self.landed()
+
+    def landed(self) -> None:
+        if self.attempt:
+            self.faults.note_retries(self.src, self.dst, self.attempt)
+        self.runtime.route_hold(self)
+
+    def apply(self) -> None:
+        self.sim.current = self
+        lost = self.lost
+        if not lost:
+            if self.write is not None:
+                self.write()
+            if self.signal is not None:
+                flag, value, op = self.signal
+                before = flag.value
+                if op is SignalOp.SET:
+                    flag.set(value)
+                else:
+                    flag.add(value)
+                if (self.flow is not None and self.signal_index is not None
+                        and flag.value != before):
+                    self.runtime._note_signal_flow(
+                        self.dst, self.signal_index, flag.value, self.flow, self.src)
+        self._complete()
+        tracer = self.runtime.ctx.tracer
+        if tracer is not None:
+            meta = {"flow_s": self.flow} if self.flow is not None and not lost else None
+            tracer.record(f"wire.pe{self.src}->pe{self.dst}",
+                          f"{self.op}:lost" if lost else self.op, "comm",
+                          self.start, self.sim.now, meta)
+
+    def _complete(self) -> None:
+        """Complete the route and drain the sender's pending counter."""
+        runtime = self.runtime
+        runtime.route_complete(self.src, self.dst)
+        pending = runtime._pending[self.src]
+        pending.add(-1)
+        tracer = runtime.ctx.tracer
+        if tracer is not None:
+            tracer.add_counter(f"nvshmem.pending.pe{self.src}", self.sim.now,
+                               pending.value)

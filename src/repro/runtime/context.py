@@ -50,7 +50,6 @@ class MultiGPUContext:
         tracer: Tracer | None = None,
         metrics: "MetricsRegistry | None" = None,
         faults: Any = None,
-        coalesce_comm: bool = True,
     ) -> None:
         self.node = node
         self.cost = cost
@@ -81,11 +80,6 @@ class MultiGPUContext:
         #: optional communication sanitizer recorder, installed via
         #: ``repro.sanitize.attach_sanitizer`` (None = no recording)
         self.sanitizer: Any = None
-        #: allow the NVSHMEM transport to coalesce same-route
-        #: same-arrival delivery legs into one engine event (False
-        #: forces the per-leg generator path; results are identical
-        #: either way — the switch exists for A/B verification)
-        self.coalesce_comm = coalesce_comm
 
     @property
     def num_gpus(self) -> int:

@@ -54,11 +54,12 @@ predates (in seq order) every event in the ready queue, so the merge
 reduces to a single timestamp comparison.
 
 The calendar also carries *callback events* (:meth:`Simulator.call_at`):
-bare functions run at a timestamp with no generator, no Process object,
-and no per-event counter updates.  The NVSHMEM transport uses them to
-coalesce many same-route delivery legs into one scheduled event while
-charging the per-leg counters explicitly (virtual accounting), keeping
-published metrics byte-identical to the unbatched engine.
+bare functions run at a timestamp with no generator and no Process
+object.  The engine counts each one it dispatches like a process step
+(one event, one calendar or ready-queue pop).  Every NVSHMEM delivery
+leg is a short chain of such callbacks; while a leg applies its effects
+:attr:`Simulator.current` is the leg object, so the sanitizer attributes
+its stores and releases to the leg.
 
 ``WaitFlag`` predicates must be pure functions of the flag *value*:
 :meth:`Flag.set` skips waiter wakeup when the stored value does not
@@ -726,9 +727,10 @@ class Simulator:
         self._blocked = 0
         #: hang monitor installed via attach_watchdog (None = unmonitored)
         self.watchdog: Watchdog | None = None
-        #: the process whose generator is currently stepping (None when
-        #: the engine is between steps, e.g. in setup code before run())
-        self.current: Process | None = None
+        #: the process whose generator is currently stepping, or the
+        #: NVSHMEM delivery leg applying its effects (None in setup code
+        #: before run() and when a callback starts)
+        self.current: Any = None
         #: synchronization observer (e.g. the repro.sanitize HB monitor);
         #: must expose spawned/released/acquired/finished/joined.  None
         #: (the default) keeps every hook site on a single None-check.
@@ -736,16 +738,15 @@ class Simulator:
         # Observability counters — plain ints so the hot loop pays one
         # attribute increment, published into a MetricsRegistry by the
         # owning context after run().  Purely diagnostic: they never
-        # influence scheduling or simulated time.  Callback events
-        # (call_at) deliberately skip them: batching callers charge the
-        # counters for the logical events a callback stands in for, so
-        # the published totals describe the *modeled* workload, not the
-        # engine's internal batching.
+        # influence scheduling or simulated time.  A dispatched callback
+        # event (call_at) counts like a process step: one event plus
+        # one calendar or ready-queue pop.  Nothing outside the engine
+        # writes them.
         self.n_events = 0
         self.n_heap_pops = 0
         self.n_ready_pops = 0
         self.n_spawned = 0
-        #: callback events executed (engine-internal, not published)
+        #: callback events executed (a subset of n_events, not published)
         self.n_callbacks = 0
         #: waiter resumptions per flag name
         self.flag_wakeups: dict[str, int] = {}
@@ -815,12 +816,12 @@ class Simulator:
         """Schedule a bare callback to run at ``time``.
 
         Callback events ride the calendar like process resumes but skip
-        the generator trampoline and the per-event counters — callers
-        that collapse many logical events into one callback (e.g.
-        coalesced NVSHMEM deliveries) account for those events
-        themselves.  Callbacks at the same timestamp run in scheduling
-        order relative to every other event, per the ``(time, seq)``
-        contract.
+        the generator trampoline; each dispatched callback counts as one
+        event.  The callback runs with :attr:`current` reset to ``None``
+        (main), so flags it releases are not attributed to whichever
+        process stepped last.  Callbacks at the same timestamp run in
+        scheduling order relative to every other event, per the
+        ``(time, seq)`` contract.
 
         ``weak=True`` schedules a callback that must not keep the run
         alive: if it surfaces when nothing but weak events remains
@@ -987,11 +988,11 @@ class Simulator:
                 value = event[3]
                 t_p = (time if time.__class__ is float
                        else time.v[0] if isinstance(time, Stacked) else time)
+                if from_calendar:
+                    n_heap += 1
+                else:
+                    n_ready += 1
                 if proc is not None:
-                    if from_calendar:
-                        n_heap += 1
-                    else:
-                        n_ready += 1
                     if not proc.alive:
                         # Dead process (killed fail-stop, or a joined
                         # process that already finished): its leftover
@@ -1013,11 +1014,10 @@ class Simulator:
                 if until is not None and t_p > until:
                     # Put the event back uncounted: its pop is counted
                     # once, by the run that finally dispatches it.
-                    if proc is not None:
-                        if from_calendar:
-                            n_heap -= 1
-                        else:
-                            n_ready -= 1
+                    if from_calendar:
+                        n_heap -= 1
+                    else:
+                        n_ready -= 1
                     bucket = buckets.get(t_p)
                     if bucket is None:
                         buckets[t_p] = deque((event,))
@@ -1045,6 +1045,7 @@ class Simulator:
                     now_p = t_p
                 if proc is None:
                     n_call += 1
+                    self.current = None
                     value()
                     continue
                 if value.__class__ is _TimeoutEntry:
@@ -1081,7 +1082,7 @@ class Simulator:
             self.n_heap_pops += n_heap
             self.n_ready_pops += n_ready
             self.n_callbacks += n_call
-            self.n_events += n_events
+            self.n_events += n_events + n_call
         # Drained: diagnose blocked survivors, else report the final time.
         alive_blocked = [p for p in self._processes if p.alive]
         if alive_blocked:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import math
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
@@ -87,12 +87,6 @@ class StencilConfig:
         resolved here, at construction time in the main process, so the
         spec travels to sweep workers inside the (pickled, cache-keyed)
         config rather than as module state.
-    ``coalesce_comm``
-        Allow the NVSHMEM transport to batch same-route same-arrival
-        delivery legs into one engine event.  Results are identical
-        either way (enforced by property tests); the switch exists for
-        A/B verification and rides in the config repr so both settings
-        key distinct sweep-cache entries.
     """
 
     global_shape: tuple[int, ...]
@@ -105,7 +99,6 @@ class StencilConfig:
     threads_per_block: int = 1024
     seed: int = 2024
     fault_profile: str | None = None
-    coalesce_comm: bool = True
 
     def __post_init__(self) -> None:
         if self.iterations <= 0:
@@ -198,8 +191,7 @@ class StencilVariant(abc.ABC):
         self.faults = get_injector(config.fault_profile)
         self.ctx = MultiGPUContext(
             config.node.scaled_to(config.num_gpus), config.cost, self.tracer,
-            faults=self.faults, coalesce_comm=config.coalesce_comm,
-        )
+            faults=self.faults)
         self.nvshmem: NVSHMEMRuntime | None = (
             NVSHMEMRuntime(self.ctx) if self.uses_nvshmem else None
         )

@@ -3,8 +3,8 @@
 Fault mode turns each delivery into an independent retry loop, so two
 puts on the same ``(src, dst)`` route can *finish their wire legs* out
 of order (an early put stuck in backoff while a later one sails
-through).  The channel sequence numbers allocated by
-``NVSHMEMRuntime.channel_seq`` must still force effects to apply in
+through).  The per-route sequence numbers counted by
+``NVSHMEMRuntime.route_issue`` must still force effects to apply in
 issue order — FIFO per route, exactly like the fault-free path.
 """
 
@@ -34,19 +34,19 @@ def _retry_heavy_plan(seed: int = 11) -> FaultPlan:
 class TestChannelSeqAllocation:
     def test_seqs_are_per_route_and_monotonic(self):
         rt = _faulty_rt(_retry_heavy_plan(), num_gpus=4)
-        s1, done01 = rt.channel_seq(0, 1)
-        s2, again01 = rt.channel_seq(0, 1)
-        s3, done02 = rt.channel_seq(0, 2)
-        assert (s1, s2) == (1, 2)
-        assert s3 == 1
-        assert done01 is again01
-        assert done01 is not done02
+        # under a fault plan each leg waits for all its predecessors
+        assert [rt.route_issue(0, 1), rt.route_issue(0, 1)] == [0, 1]
+        assert rt.route_issue(0, 2) == 0
+        assert rt._route_issued == {(0, 1): 2, (0, 2): 1}
+        assert rt._route_done_flag[(0, 1)] is not rt._route_done_flag[(0, 2)]
 
     def test_reverse_direction_is_a_distinct_channel(self):
         rt = _faulty_rt(_retry_heavy_plan())
-        _, fwd = rt.channel_seq(0, 1)
-        _, rev = rt.channel_seq(1, 0)
-        assert fwd is not rev
+        assert rt.route_issue(0, 1) == 0
+        assert rt.route_issue(1, 0) == 0
+        rt.route_complete(0, 1)
+        assert rt._route_done == {(0, 1): 1}
+        assert rt._route_done_flag[(0, 1)] is not rt._route_done_flag[(1, 0)]
 
 
 class TestInterleavedRetryOrdering:
@@ -98,14 +98,15 @@ class TestInterleavedRetryOrdering:
             observed, _, _ = self._burst(_retry_heavy_plan(seed=seed))
             assert observed == sorted(observed), f"overtaking at seed {seed}"
 
-    def test_chan_done_flag_counts_every_delivery(self):
+    def test_route_done_counts_every_delivery(self):
         n = 5
         _, _, rt = self._burst(_retry_heavy_plan(seed=4), n_puts=n)
-        done = rt._chan_done[(0, 1)]
-        assert done.value == n
-        assert rt._chan_issue[(0, 1)] == n
+        assert rt._route_issued == {(0, 1): n}
+        assert rt._route_done == {(0, 1): n}
+        assert rt._route_done_flag[(0, 1)].value == n
+        assert rt._route_parked.get((0, 1), []) == []
 
-    def test_fault_free_runs_allocate_no_channel_state(self):
+    def test_fault_free_runs_park_nothing(self):
         rt = NVSHMEMRuntime(MultiGPUContext(HGX_A100_8GPU.scaled_to(2),
                                             tracer=Tracer()))
         arr = rt.malloc("slot", (2,), fill=0.0)
@@ -117,8 +118,9 @@ class TestInterleavedRetryOrdering:
 
         rt.ctx.sim.spawn(pe0(), name="pe0")
         rt.ctx.run()
-        assert rt._chan_issue == {}
-        assert rt._chan_done == {}
+        assert rt._route_issued == rt._route_done == {(0, 1): 1}
+        assert rt._route_parked == {}
+        assert rt._route_done_flag == {}
 
     def test_deterministic_across_reruns(self):
         runs = []

@@ -322,3 +322,37 @@ def test_determinism_identical_runs():
         return trace
 
     assert build() == build()
+
+
+def test_callback_runs_as_main_not_as_last_stepped_process():
+    """A flag released from a call_at callback is attributed to main
+    (None), not to whichever process happened to step last."""
+    from repro.sanitize.hb import HBMonitor
+
+    releasers = []
+
+    class Recording(HBMonitor):
+        def released(self, flag, releaser):
+            releasers.append(releaser)
+            super().released(flag, releaser)
+
+    sim = Simulator()
+    sim.monitor = Recording()
+    flag = sim.flag(0)
+
+    def worker():
+        yield Delay(1.0)
+
+    sim.spawn(worker(), name="worker")
+    sim.call_at(2.0, lambda: flag.add(1))
+    sim.run()
+    assert releasers == [None]
+
+
+def test_callbacks_count_as_dispatched_events():
+    sim = Simulator()
+    sim.call_at(0.0, lambda: None)
+    sim.call_at(3.0, lambda: None)
+    sim.run()
+    assert (sim.n_events, sim.n_ready_pops, sim.n_heap_pops) == (2, 1, 1)
+    assert sim.n_callbacks == 2

@@ -2,10 +2,10 @@
 
 If the paper's formula is right, an exhaustive search over boundary
 block counts should find (nearly) the same split.  The autotuner
-(`repro.core.autotune_tb_split`) runs the search on the simulator.
+(`repro.tune.autotune_tb_split`) runs the search on the simulator.
 """
 
-from repro.core import autotune_tb_split
+from repro.tune import autotune_tb_split
 from repro.stencil import StencilConfig
 
 

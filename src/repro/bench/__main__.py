@@ -42,7 +42,6 @@ from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.perf import ResultCache, SweepManifest, SweepRunner, use_runner
 from repro.perf.cache import DEFAULT_CACHE_DIR
 from repro.perf.manifest import SweepJournal
-from repro.sdfg.codegen.fastpath import FASTPATH_MODES
 
 
 def _run_22():
@@ -173,11 +172,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="collect observability metrics across the run and "
                              "write the registry dump (JSON) to PATH; the dump "
                              "is byte-identical at any --jobs setting")
-    parser.add_argument("--fastpath", type=str, default="vector",
-                        choices=FASTPATH_MODES,
-                        help="tasklet execution mode for SDFG figures "
-                             "(scalar is bit-identical to vector but "
-                             "slower; each mode keys its own cache entries)")
     parser.add_argument("--fault-profile", type=str, default=None, metavar="NAME",
                         help="run every figure under this fault profile "
                              "(e.g. transient or transient@7); the profile is "
@@ -307,10 +301,8 @@ def main(argv: list[str] | None = None) -> int:
         if registry is not None:
             registry.gauge("bench.fault_profile", profile=args.fault_profile).set(1)
     from repro.faults.profiles import use_fault_profile
-    from repro.sdfg.codegen import use_fastpath_mode
 
-    with use_fault_profile(args.fault_profile), use_fastpath_mode(args.fastpath), \
-            use_runner(runner), (
+    with use_fault_profile(args.fault_profile), use_runner(runner), (
             use_metrics(registry) if registry is not None else nullcontext()):
         if profiler is not None:
             profiler.enable()

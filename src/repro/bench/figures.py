@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.hw import HGX_A100_8GPU
 from repro.runtime import MultiGPUContext
-from repro.sdfg.codegen import SDFGExecutor, active_fastpath_mode
+from repro.sdfg.codegen import SDFGExecutor
 from repro.sdfg.distributed import GridDecomposition2D, SlabDecomposition1D
 from repro.sdfg.programs import (
     CONJUGATES_1D,
@@ -503,7 +503,7 @@ def _pipelined_sdfg(build, kind, conjugates):
 
 
 def _run_dace(build, pipeline_args, decomp_args, ranks: int,
-              fault_profile: str | None = None, fastpath: str = "vector"):
+              fault_profile: str | None = None):
     kind, conjugates = pipeline_args
     # The transformed graph depends only on (program, pipeline), never
     # on the GPU count or fault profile, so one worker process builds
@@ -519,13 +519,12 @@ def _run_dace(build, pipeline_args, decomp_args, ranks: int,
         copy=copy.deepcopy)
     ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(ranks), tracer=Tracer(),
                           faults=get_injector(fault_profile))
-    executor = SDFGExecutor(sdfg, ctx, with_data=False, fastpath=fastpath)
+    executor = SDFGExecutor(sdfg, ctx, with_data=False)
     return executor.run(decomp_args)
 
 
 def _dace_1d_point(gpus: int, kind: str, per_gpu_n: int, tsteps: int,
-                   fault_profile: str | None = None,
-                   fastpath: str = "vector") -> Row:
+                   fault_profile: str | None = None) -> Row:
     """Sweep worker: one (GPU count, pipeline) point of Fig 6.3a.
 
     Timing-only runs need just the per-rank scalar parameters, so the
@@ -533,7 +532,7 @@ def _dace_1d_point(gpus: int, kind: str, per_gpu_n: int, tsteps: int,
     """
     decomp = SlabDecomposition1D(per_gpu_n * gpus, gpus)
     report = _run_dace(build_jacobi_1d_sdfg, (kind, CONJUGATES_1D),
-                       decomp.rank_params(tsteps), gpus, fault_profile, fastpath)
+                       decomp.rank_params(tsteps), gpus, fault_profile)
     return Row(
         series=f"dace_{kind}", x=gpus,
         per_iteration_us=report.per_iteration_us,
@@ -548,8 +547,7 @@ def fig63a_dace_1d(
 ) -> FigureData:
     """Fig 6.3a: DaCe Jacobi 1D, discrete MPI baseline vs generated
     CPU-Free, weak scaling (constant elements per GPU)."""
-    tasks = [(gpus, kind, per_gpu_n, tsteps, active_fault_profile(),
-              active_fastpath_mode())
+    tasks = [(gpus, kind, per_gpu_n, tsteps, active_fault_profile())
              for gpus in gpu_counts for kind in ("baseline", "cpufree")]
     rows = active_runner().map(_dace_1d_point, tasks)
     fig = FigureData("6.3a", "DaCe Jacobi 1D: baseline vs CPU-Free", rows)
@@ -578,13 +576,12 @@ def _fig63b_domain(base_edge: int, gpus: int) -> tuple[int, int]:
 
 
 def _dace_2d_point(gpus: int, kind: str, base_edge: int, tsteps: int,
-                   fault_profile: str | None = None,
-                   fastpath: str = "vector") -> Row:
+                   fault_profile: str | None = None) -> Row:
     """Sweep worker: one (GPU count, pipeline) point of Fig 6.3b."""
     gy, gx = _fig63b_domain(base_edge, gpus)
     decomp = GridDecomposition2D(gy, gx, gpus)
     report = _run_dace(build_jacobi_2d_sdfg, (kind, CONJUGATES_2D),
-                       decomp.rank_params(tsteps), gpus, fault_profile, fastpath)
+                       decomp.rank_params(tsteps), gpus, fault_profile)
     return Row(
         series=f"dace_{kind}", x=gpus,
         per_iteration_us=report.per_iteration_us,
@@ -604,8 +601,7 @@ def fig63b_dace_2d(
     wide (py <= px), so P = 2 and 8 produce rectangular tiles with
     long strided columns — the baseline's unbalanced-partition bump.
     """
-    tasks = [(gpus, kind, base_edge, tsteps, active_fault_profile(),
-              active_fastpath_mode())
+    tasks = [(gpus, kind, base_edge, tsteps, active_fault_profile())
              for gpus in gpu_counts for kind in ("baseline", "cpufree")]
     rows = active_runner().map(_dace_2d_point, tasks)
     fig = FigureData("6.3b", "DaCe Jacobi 2D: baseline vs CPU-Free (strided halos)", rows)

@@ -19,20 +19,16 @@ Combines the four techniques of §3.1 into a reusable harness:
    after launch.
 """
 
-from repro.core.autotune import AutotuneReport, autotune_tb_split, candidate_splits
 from repro.core.persistent import PersistentKernel, TBGroup, launch_persistent
 from repro.core.specialization import SpecializationPlan, plan_blocks
 from repro.core.sync import GridBarrier, LocalSpinFlag
 
 __all__ = [
-    "AutotuneReport",
     "GridBarrier",
     "LocalSpinFlag",
     "PersistentKernel",
     "SpecializationPlan",
     "TBGroup",
-    "autotune_tb_split",
-    "candidate_splits",
     "launch_persistent",
     "plan_blocks",
 ]

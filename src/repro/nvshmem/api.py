@@ -71,9 +71,6 @@ class NVSHMEMRuntime:
         # are too slow for the per-op path.
         self._op_acc: dict = {}
         self._wait_acc: dict = {}
-        #: memo for NVSHMEMDevice._wire_time — pure per (src, dest,
-        #: nbytes, scope) on the happy path; unused under a fault plan
-        self._wire_memo: dict = {}
         self._wait_hist: dict = {}
         # Teams (``nvshmemx_team_split_strided`` surface): the world
         # team plus lazily built per-domain and cross-domain splits.

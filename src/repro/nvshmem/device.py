@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.faults.inject import DeliveryError, SignalWaitTimeout
 from repro.sim import TIMEOUT, Delay, Flag, WaitFlag
-from repro.sim.stacked import Stacked, as_size
+from repro.sim.stacked import as_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nvshmem.api import NVSHMEMRuntime
@@ -119,10 +119,6 @@ class NVSHMEMDevice:
         self._wait_hist = runtime._wait_hist
         #: fault injector (None = happy path, zero overhead)
         self._faults = runtime.ctx.faults
-        #: wire-time memo, shared runtime-wide; disabled (None) under a
-        #: fault plan, where the effective link varies over time
-        self._wire_memo = (runtime._wire_memo
-                           if runtime.ctx.topology.faults is None else None)
         #: hierarchical topology, or None on a flat node — cross-domain
         #: puts take the proxy-initiated rail path instead of NVLink
         topology = runtime.ctx.topology
@@ -148,21 +144,10 @@ class NVSHMEMDevice:
     def _wire_time(self, dest_pe: int, nbytes: int, scope: Scope) -> float:
         cluster = self._cluster
         if cluster is not None and cluster.cross_domain(self.pe, dest_pe):
-            # never memoized: rail pricing depends on in-flight occupancy
             return self._proxy_wire(dest_pe, nbytes)
-        memo = self._wire_memo
-        if memo is None:  # fault plan active: the link may degrade over time
-            link = self._ctx.topology.link(self.pe, dest_pe)
-            return link.latency_us + nbytes / (
-                link.bandwidth_gbps * self._bw_fraction(scope) * 1000.0)
-        key = (self.pe, dest_pe,
-               nbytes.v if isinstance(nbytes, Stacked) else nbytes, scope)
-        t = memo.get(key)
-        if t is None:
-            link = self._ctx.topology.link(self.pe, dest_pe)
-            t = memo[key] = link.latency_us + nbytes / (
-                link.bandwidth_gbps * self._bw_fraction(scope) * 1000.0)
-        return t
+        link = self._ctx.topology.link(self.pe, dest_pe)
+        return link.latency_us + nbytes / (
+            link.bandwidth_gbps * self._bw_fraction(scope) * 1000.0)
 
     def _proxy_wire(self, dest_pe: int, nbytes: float) -> float:
         """Inter-node put wire time: the SM rings the CPU proxy thread's

@@ -7,34 +7,16 @@
   so generated programs are validated end-to-end and timed.
 - :mod:`repro.sdfg.codegen.fastpath` — compiled tasklet plans and the
   map-specialization pass behind the executor's data path.
-- :mod:`repro.sdfg.codegen.batch` — leading-batch-axis lowering of
-  those plans: one fused NumPy kernel executes a map for a whole stack
-  of sweep points.
 """
 
-from repro.sdfg.codegen.batch import (
-    BatchLoweringError,
-    batch_state_plan,
-    execute_batched,
-)
 from repro.sdfg.codegen.cuda_text import generate_cuda
 from repro.sdfg.codegen.executor import ExecutionReport, SDFGExecutor
-from repro.sdfg.codegen.fastpath import (
-    MapMode,
-    active_fastpath_mode,
-    specialize_maps,
-    use_fastpath_mode,
-)
+from repro.sdfg.codegen.fastpath import MapMode, specialize_maps
 
 __all__ = [
-    "BatchLoweringError",
     "ExecutionReport",
     "MapMode",
     "SDFGExecutor",
-    "active_fastpath_mode",
-    "batch_state_plan",
-    "execute_batched",
     "generate_cuda",
     "specialize_maps",
-    "use_fastpath_mode",
 ]

@@ -111,7 +111,9 @@ class SDFGExecutor:
         self.with_data = with_data
         #: tasklet execution mode: ``"vector"`` (specialized maps run as
         #: single NumPy slice expressions) or ``"scalar"`` (codegen-faithful
-        #: per-element loop).  See :mod:`repro.sdfg.codegen.fastpath`.
+        #: per-element loop).  Only data-carrying runs (``with_data``)
+        #: execute tasklets, so timing-only runs ignore it.  See
+        #: :mod:`repro.sdfg.codegen.fastpath`.
         if fastpath not in FASTPATH_MODES:
             raise ValueError(f"unknown fastpath mode {fastpath!r}")
         self.fastpath = fastpath

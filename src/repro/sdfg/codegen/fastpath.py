@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import ast
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -49,43 +48,14 @@ __all__ = [
     "MapMode",
     "StatePlan",
     "TaskletPlan",
-    "active_fastpath_mode",
     "bound_counter",
     "plan_state",
     "specialize_maps",
-    "use_fastpath_mode",
 ]
 
 #: legal executor tasklet-execution modes (see SDFGExecutor)
 FASTPATH_MODES = ("vector", "scalar")
 
-_active_mode = "vector"
-
-
-def active_fastpath_mode() -> str:
-    """The ambient tasklet-execution mode new executors default to."""
-    return _active_mode
-
-
-@contextmanager
-def use_fastpath_mode(mode: str) -> Iterator[str]:
-    """Install ``mode`` as the ambient fastpath mode for the block.
-
-    Sweep code must *capture* the ambient mode into worker arguments in
-    the main process (exactly like ``active_fault_profile()``): worker
-    processes never inherit it, and the cache key must see it — a
-    ``scalar`` row and a ``vector`` row are bit-identical by design,
-    but a stale-cache audit still wants distinct keys per mode.
-    """
-    global _active_mode
-    if mode not in FASTPATH_MODES:
-        raise ValueError(f"unknown fastpath mode {mode!r}")
-    previous = _active_mode
-    _active_mode = mode
-    try:
-        yield mode
-    finally:
-        _active_mode = previous
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)

@@ -949,9 +949,9 @@ class Simulator:
         times, buckets, ready = self._times, self._buckets, self._ready
         # Counters accumulate in locals (written back in the finally —
         # also on the until/exception exits) so the loop pays no
-        # attribute stores for them.  The hot _step/_dispatch path is
-        # inlined below for the same reason: one event is one loop
-        # iteration, no trampoline calls.
+        # attribute stores for them.  The process step and command
+        # dispatch are inlined below for the same reason: one event is
+        # one loop iteration, no trampoline calls.
         n_heap = n_ready = n_call = n_events = 0
         # Pilot mirror of self.now: all loop-internal time comparisons
         # run on plain floats even when the clock is a BatchTime vector.
@@ -1049,11 +1049,11 @@ class Simulator:
                     value()
                     continue
                 if value.__class__ is _TimeoutEntry:
-                    self._fire_timeout(proc, value)
-                    continue
-                # -- inlined _step + _dispatch fast path ----------------
-                if not proc.alive:  # joined process already finished
-                    continue
+                    if proc._timeout is not value:  # stale token
+                        continue
+                    self._expire_wait(proc, value.flag)
+                    value = TIMEOUT
+                # -- step the process and dispatch its command ----------
                 n_events += 1
                 self.current = proc
                 try:
@@ -1076,8 +1076,14 @@ class Simulator:
                         self._push(self.now + dt, proc, None)
                 elif cls is WaitFlag:
                     self._wait_flag(proc, command)
+                elif cls is WaitProcess:
+                    self._join(proc, command.process)
+                elif cls is Process:
+                    self._join(proc, command)
                 else:
-                    self._dispatch(proc, command)
+                    raise SimulationError(
+                        f"process {proc.name} yielded unsupported command {command!r}"
+                    )
         finally:
             self.n_heap_pops += n_heap
             self.n_ready_pops += n_ready
@@ -1127,10 +1133,8 @@ class Simulator:
             )
         return "\n".join(lines)
 
-    def _fire_timeout(self, proc: Process, entry: _TimeoutEntry) -> None:
-        if proc._timeout is not entry:  # stale token for a resolved wait
-            return
-        flag = entry.flag
+    def _expire_wait(self, proc: Process, flag: Flag) -> None:
+        """Unblock ``proc`` from its timed-out wait on ``flag``."""
         # Opaque-predicate entries are removed eagerly (the list is
         # always short); indexed ge/eq entries die lazily — the epoch
         # bump below invalidates them wherever they sit.
@@ -1141,57 +1145,6 @@ class Simulator:
         proc._waiting_flag = None
         proc._blocked_since = None
         self._blocked -= 1
-        self._step(proc, TIMEOUT)
-
-    def _step(self, proc: Process, value: Any) -> None:
-        if not proc.alive:  # joined process already finished
-            return
-        self.n_events += 1
-        self.current = proc
-        try:
-            command = proc.gen.send(value)
-        except StopIteration as stop:
-            self._finish(proc, stop.value, None)
-            return
-        except Exception as exc:  # mark failed, propagate to joiners and run()
-            self._finish(proc, None, exc)
-            raise
-        self._dispatch(proc, command)
-
-    def _dispatch(self, proc: Process, command: Any) -> None:
-        # Exact-type dispatch for the hot commands; subclasses of the
-        # command types take the isinstance fallback below.
-        cls = command.__class__
-        if cls is Delay:
-            proc._waiting_on = command
-            dt = command.dt
-            if dt.__class__ is float:
-                self._push(self.now + dt, proc, None)
-            elif isinstance(dt, Stacked):  # stacked duration -> time vector
-                self._push(dt.add_to_time(self.now), proc, None)
-            else:  # plain int duration
-                self._push(self.now + dt, proc, None)
-        elif cls is WaitFlag:
-            self._wait_flag(proc, command)
-        elif cls is WaitProcess or cls is Process:
-            self._join(proc, command.process if cls is WaitProcess else command)
-        elif isinstance(command, Delay):
-            proc._waiting_on = command
-            dt = command.dt
-            if dt.__class__ is float:
-                self._push(self.now + dt, proc, None)
-            elif isinstance(dt, Stacked):  # stacked duration -> time vector
-                self._push(dt.add_to_time(self.now), proc, None)
-            else:  # plain int duration
-                self._push(self.now + dt, proc, None)
-        elif isinstance(command, WaitFlag):
-            self._wait_flag(proc, command)
-        elif isinstance(command, (WaitProcess, Process)):
-            self._join(proc, command.process if isinstance(command, WaitProcess) else command)
-        else:
-            raise SimulationError(
-                f"process {proc.name} yielded unsupported command {command!r}"
-            )
 
     def _wait_flag(self, proc: Process, command: WaitFlag) -> None:
         flag = command.flag

@@ -17,11 +17,16 @@ configuration (priority-ordered, deduplicated, budget-truncated), the
 winner is the minimum ``(per_iteration_us, grid position)`` — so ties
 resolve to the earlier, simpler candidate — and all JSON goes through
 :mod:`repro.obs.stablejson`.
+
+:func:`autotune_tb_split` is the narrower search behind the §4.1.2
+evaluation: it measures cpufree at every boundary block count (an
+``AutoOverlap`` schedule with one chunk and the split overridden) and
+reports how far the closed-form split lands from the empirical optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # reuses the figure suite's sweep worker so the cpufree baseline point
 # shares cache entries with `repro.bench` runs of the same config
@@ -31,7 +36,7 @@ from repro.bench.figures import (
     _stencil_point,
     weak_shape_2d,
 )
-from repro.core.autotune import candidate_splits
+from repro.core.specialization import SpecializationPlan
 from repro.perf import SweepRunner, active_runner
 from repro.stencil.base import StencilConfig
 from repro.stencil.variants.auto_overlap import (
@@ -44,7 +49,10 @@ from repro.stencil.variants.auto_overlap import (
 __all__ = [
     "SCHEDULE_FORMAT",
     "WINLOSS_FORMAT",
+    "AutotuneReport",
     "TuneResult",
+    "autotune_tb_split",
+    "candidate_splits",
     "schedule_grid",
     "schedule_payload",
     "trial_point",
@@ -54,6 +62,68 @@ __all__ = [
 
 SCHEDULE_FORMAT = "repro-tune-schedule-v1"
 WINLOSS_FORMAT = "repro-tune-winloss-v1"
+
+
+def candidate_splits(tb_total: int, *, sides: int = 2,
+                     max_candidates: int = 12) -> list[int]:
+    """Geometrically spaced boundary block-count candidates."""
+    if tb_total < sides + 1:
+        raise ValueError("device too small to specialize")
+    limit = (tb_total - 1) // sides
+    out: list[int] = []
+    candidate = 1
+    while candidate <= limit and len(out) < max_candidates:
+        out.append(candidate)
+        candidate = max(candidate + 1, int(candidate * 1.6))
+    if out[-1] != limit and len(out) < max_candidates:
+        out.append(limit)
+    return out
+
+
+@dataclass(frozen=True)
+class AutotuneReport:
+    """Outcome of a TB-split search."""
+
+    best: SpecializationPlan
+    formula: SpecializationPlan
+    #: measured total time per candidate boundary_tb_per_side
+    measurements: dict[int, float]
+
+    @property
+    def formula_regret_percent(self) -> float:
+        """How much slower the closed-form split is than the empirical
+        optimum (0.0 = the formula found the optimum)."""
+        best_time = self.measurements[self.best.boundary_tb_per_side]
+        formula_time = self.measurements[self.formula.boundary_tb_per_side]
+        if best_time == 0.0:
+            return 0.0
+        return (formula_time - best_time) / best_time * 100.0
+
+
+def autotune_tb_split(config: StencilConfig, *,
+                      iterations: int = 20) -> AutotuneReport:
+    """Search boundary block counts for the CPU-Free stencil variant.
+
+    The search runs timing-only regardless of ``config.with_data``.
+    Returns the empirically best plan alongside the formula's plan,
+    which is always among the measured candidates.
+    """
+    timing_config = replace(config, with_data=False, iterations=iterations)
+    probe = AutoOverlap(timing_config, OverlapSchedule(1))
+    tb_total = probe.coresident_blocks()
+    formula_plan = probe.specialization(0)
+
+    candidates = set(candidate_splits(tb_total))
+    candidates.add(formula_plan.boundary_tb_per_side)
+    measurements = {
+        split: AutoOverlap(timing_config, OverlapSchedule(1, split)).run().total_time_us
+        for split in sorted(candidates)
+    }
+    best_split = min(measurements, key=lambda k: (measurements[k], k))
+    return AutotuneReport(
+        best=SpecializationPlan(tb_total=tb_total,
+                                boundary_tb_per_side=best_split, sides=2),
+        formula=formula_plan, measurements=measurements)
 
 
 def _config(size: str, gpus: int, iterations: int) -> StencilConfig:
@@ -100,8 +170,10 @@ def schedule_grid(config: StencilConfig, *,
     4. the remaining full cross-product.
 
     Duplicates collapse onto their first (highest-priority) position;
-    ``budget`` truncates the tail.
+    ``budget`` (at least 1) truncates the tail.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     seed = choose_schedule(config)
     tb_total = config.node.gpu.max_coresident_blocks(config.threads_per_block)
     splits = candidate_splits(tb_total, sides=2)[:6]
@@ -149,11 +221,17 @@ class TuneResult:
 def tune(size: str, gpus: int, iterations: int = 20, *,
          budget: int | None = None,
          runner: SweepRunner | None = None) -> TuneResult:
-    """Search the schedule grid for one configuration."""
+    """Search the schedule grid for one configuration.
+
+    The cost model's schedule is always measured: when ``budget`` cut it
+    from the grid, it is appended as one extra trial.
+    """
     runner = runner if runner is not None else active_runner()
     config = _config(size, gpus, iterations)
     grid = schedule_grid(config, budget=budget)
     model = choose_schedule(config)
+    if model not in grid:
+        grid.append(model)
     tasks = [
         (size, gpus, iterations, s.chunks, s.boundary_tb_per_side,
          s.fuse_boundary)
@@ -163,10 +241,7 @@ def tune(size: str, gpus: int, iterations: int = 20, *,
     cpufree_row = runner.map(_stencil_point, [("cpufree", config)])[0]
     best_i = min(range(len(grid)),
                  key=lambda i: (measured[i]["per_iteration_us"], i))
-    model_us = next(
-        m["per_iteration_us"]
-        for s, m in zip(grid, measured) if s == model
-    )
+    model_us = measured[grid.index(model)]["per_iteration_us"]
     return TuneResult(
         size=size, gpus=gpus, iterations=iterations,
         best=grid[best_i],

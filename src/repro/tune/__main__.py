@@ -71,6 +71,8 @@ def main(argv: list[str] | None = None) -> int:
                              "the cache (tallies print to stdout); requires "
                              "the cache")
     args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 1:
+        parser.error(f"--budget must be at least 1, got {args.budget}")
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if cache is None and (args.save_manifest or args.changed_only):

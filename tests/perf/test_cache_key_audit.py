@@ -16,7 +16,6 @@ from repro.bench.figures import _dace_1d_point, _stencil_point
 from repro.faults.profiles import PROFILES, get_plan, use_fault_profile
 from repro.perf import ResultCache, SweepRunner, use_runner
 from repro.perf.cache import point_identity, source_digest
-from repro.sdfg.codegen import active_fastpath_mode, use_fastpath_mode
 from repro.stencil import StencilConfig
 
 
@@ -25,16 +24,11 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
-def _dace_key(cache, fault_profile=None, fastpath="vector"):
-    return cache.key(_dace_1d_point, (8, "cpufree", 1000, 3, fault_profile, fastpath))
+def _dace_key(cache, fault_profile=None):
+    return cache.key(_dace_1d_point, (8, "cpufree", 1000, 3, fault_profile))
 
 
 class TestKeyPerturbation:
-    def test_fastpath_mode_perturbs_key(self, cache):
-        keys = {_dace_key(cache, fastpath=mode)
-                for mode in ("vector", "scalar")}
-        assert len(keys) == 2
-
     def test_fault_profile_perturbs_key(self, cache):
         keys = {_dace_key(cache, fault_profile=spec)
                 for spec in (None, "transient", "transient@7", "degraded")}
@@ -84,8 +78,9 @@ class TestKeyPerturbation:
 
 
 class TestAmbientCapture:
-    """The sweeps must capture ambient modes into task tuples in the
-    main process — worker processes never see the ambient state."""
+    """The sweeps must capture the ambient fault profile into task
+    tuples in the main process — worker processes never see the ambient
+    state."""
 
     def _captured_tasks(self, figure):
         captured = {}
@@ -105,29 +100,18 @@ class TestAmbientCapture:
                 pass
         return captured["fn"], captured["tasks"]
 
-    def test_fig63a_captures_fastpath_and_profile(self):
+    def test_fig63a_captures_profile(self):
         from repro.bench.figures import fig63a_dace_1d
 
-        with use_fault_profile("transient@5"), use_fastpath_mode("scalar"):
+        with use_fault_profile("transient@5"):
             fn, tasks = self._captured_tasks(fig63a_dace_1d)
-        assert all(t[-2:] == ("transient@5", "scalar") for t in tasks)
+        assert all(t[-1] == "transient@5" for t in tasks)
         identities = {point_identity(fn, t) for t in tasks}
         assert len(identities) == len(tasks)
 
-    def test_fig63b_captures_fastpath_and_profile(self):
+    def test_fig63b_captures_profile(self):
         from repro.bench.figures import fig63b_dace_2d
 
-        with use_fault_profile("degraded@2"), use_fastpath_mode("scalar"):
+        with use_fault_profile("degraded@2"):
             _, tasks = self._captured_tasks(fig63b_dace_2d)
-        assert all(t[-2:] == ("degraded@2", "scalar") for t in tasks)
-
-    def test_ambient_fastpath_mode_restores(self):
-        assert active_fastpath_mode() == "vector"
-        with use_fastpath_mode("scalar"):
-            assert active_fastpath_mode() == "scalar"
-        assert active_fastpath_mode() == "vector"
-
-    def test_unknown_fastpath_mode_rejected(self):
-        with pytest.raises(ValueError):
-            with use_fastpath_mode("turbo"):
-                pass
+        assert all(t[-1] == "degraded@2" for t in tasks)

@@ -86,6 +86,22 @@ class TestWaitFlagTimeout:
         sim.run()
         assert seen == [(7, 10.0)]
 
+    @pytest.mark.parametrize("condition", [{"ge": 1}, {"predicate": lambda v: v >= 1}])
+    def test_timeout_event_counts(self, condition):
+        """Spawn, timed wait, finish: the spawn step pops the ready
+        queue, the timeout token pops the calendar and is the second
+        (and last) process step."""
+        sim = Simulator()
+        flag = Flag(sim, 0, name="never")
+
+        def waiter():
+            return (yield WaitFlag(flag, timeout=5.0, **condition))
+
+        proc = sim.spawn(waiter())
+        assert sim.run() == 5.0
+        assert proc.result is TIMEOUT
+        assert (sim.n_events, sim.n_heap_pops, sim.n_ready_pops) == (2, 1, 1)
+
     def test_nonpositive_timeout_rejected(self):
         sim = Simulator()
         flag = Flag(sim, 0)

@@ -14,7 +14,16 @@ from repro.stencil.variants.auto_overlap import (
     choose_schedule,
     model_inner_time_us,
 )
-from repro.tune import schedule_grid, schedule_payload, tune, win_loss_payload
+from repro.stencil.runner import run_variant
+from repro.tune import (
+    autotune_tb_split,
+    candidate_splits,
+    schedule_grid,
+    schedule_payload,
+    tune,
+    win_loss_payload,
+)
+from repro.tune.__main__ import main as tune_main
 
 
 def _config(shape=(256, 258), gpus=4, iterations=10, **kw):
@@ -147,6 +156,25 @@ class TestTune:
         assert dumps_stable(schedule_payload(first)) \
             == dumps_stable(schedule_payload(second))
 
+    def test_model_schedule_measured_when_budget_cuts_it(self):
+        """The large 8-GPU model schedule sits past the first grid slot;
+        a budget of one still measures it, as one appended trial."""
+        result = tune("large", 8, iterations=4, budget=1)
+        model = result.model.describe()
+        assert [t["schedule"] for t in result.trials] \
+            == [OverlapSchedule(1).describe(), model]
+        assert result.model_per_iteration_us == result.trials[-1]["per_iteration_us"]
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_nonpositive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            tune("small", 2, iterations=4, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            schedule_grid(_config(with_data=False), budget=budget)
+        with pytest.raises(SystemExit) as exc:
+            tune_main(["--budget", str(budget), "--no-cache"])
+        assert exc.value.code == 2
+
     def test_win_loss_payload_shape(self):
         table = win_loss_payload(sizes=("small",), gpu_counts=(1, 2),
                                  iterations=4)
@@ -155,3 +183,79 @@ class TestTune:
         assert table["wins"] + table["ties"] + table["losses"] == 2
         for point in table["points"]:
             assert point["outcome"] in ("win", "tie", "loss")
+
+
+class TestCandidates:
+    def test_candidates_start_at_one(self):
+        assert candidate_splits(216)[0] == 1
+
+    def test_candidates_within_feasible_range(self):
+        for c in candidate_splits(216):
+            assert 1 <= c <= (216 - 1) // 2
+
+    def test_candidates_strictly_increasing(self):
+        cs = candidate_splits(216)
+        assert all(a < b for a, b in zip(cs, cs[1:]))
+
+    def test_limit_included(self):
+        cs = candidate_splits(216)
+        assert cs[-1] == (216 - 1) // 2
+
+    def test_tiny_device_rejected(self):
+        with pytest.raises(ValueError):
+            candidate_splits(2)
+
+
+class TestAutotune:
+    @pytest.fixture(scope="class")
+    def balanced_report(self):
+        config = StencilConfig(
+            global_shape=(2048 + 2, 2048 + 2), num_gpus=8,
+            iterations=10, with_data=False,
+        )
+        return autotune_tb_split(config, iterations=10)
+
+    def test_measurements_cover_candidates(self, balanced_report):
+        assert len(balanced_report.measurements) >= 5
+        assert all(t > 0 for t in balanced_report.measurements.values())
+
+    def test_formula_close_to_empirical_optimum_on_balanced_domain(
+            self, balanced_report):
+        """§4.1.2's formula should be near-optimal where it applies."""
+        assert balanced_report.formula_regret_percent < 10.0
+
+    def test_formula_split_measures_cpufree_exactly(self, balanced_report):
+        """A one-chunk AutoOverlap at the formula's split is cpufree."""
+        config = StencilConfig(
+            global_shape=(2048 + 2, 2048 + 2), num_gpus=8,
+            iterations=10, with_data=False,
+        )
+        split = balanced_report.formula.boundary_tb_per_side
+        assert balanced_report.measurements[split] \
+            == run_variant("cpufree", config).total_time_us
+
+    def test_best_plan_is_feasible(self, balanced_report):
+        plan = balanced_report.best
+        assert plan.inner_tb >= 1
+        assert plan.boundary_tb_per_side >= 1
+
+    def test_unbalanced_3d_prefers_more_boundary_blocks(self):
+        """Thin-slab 3D: the optimum needs far more than one boundary
+        block — the regime where the proportional formula matters."""
+        config = StencilConfig(
+            global_shape=(4 * 8 + 2, 1024 + 2, 1024 + 2), num_gpus=8,
+            iterations=10, with_data=False,
+        )
+        report = autotune_tb_split(config, iterations=10)
+        assert report.best.boundary_tb_per_side > 1
+        # and the formula lands close to the empirical best
+        assert report.formula_regret_percent < 25.0
+
+    def test_regret_zero_when_formula_is_best(self):
+        config = StencilConfig(
+            global_shape=(2048 + 2, 2048 + 2), num_gpus=8,
+            iterations=10, with_data=False,
+        )
+        report = autotune_tb_split(config, iterations=10)
+        if report.best.boundary_tb_per_side == report.formula.boundary_tb_per_side:
+            assert report.formula_regret_percent == 0.0

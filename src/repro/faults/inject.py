@@ -390,16 +390,6 @@ class FaultInjector:
                            "global_t": t + self.crash_base_us})
         if self._metrics is not None:
             self._metrics.counter("faults.pe_crash", pe=str(pe)).inc()
-        if self._tracer is not None:
-            # Crash hygiene: the dead PE's dangling spans are closed at
-            # the crash instant and tagged, so the trace shows truncated
-            # work instead of leaking open spans.  Wire lanes stay open
-            # — their (surviving) delivery processes close them.
-            host_lane = f"host{pe}"
-            self._tracer.close_all(
-                t,
-                lanes=lambda lane: lane.startswith(gpu_prefix) or lane == host_lane,
-                tag=f"pe_crash:{pe}")
         for handler in list(self._crash_handlers):
             handler(pe, t)
 

@@ -9,6 +9,7 @@ and handing device kernels their per-PE device context
 from __future__ import annotations
 
 from collections.abc import Generator
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -21,6 +22,27 @@ from repro.runtime.mpi import HostBarrier
 from repro.sim import Flag
 
 __all__ = ["NVSHMEMRuntime", "Team"]
+
+
+def _flush_metrics(m: Any, op_acc: dict, wait_acc: dict, proxy_acc: dict) -> None:
+    """Fold a runtime's op/wait/proxy accumulators into registry ``m``."""
+    if m is None:
+        return
+    for (pe, op, dest_pe), (n, nbytes) in sorted(op_acc.items()):
+        labels = {"op": op, "src": str(pe), "dst": str(dest_pe)}
+        m.counter("nvshmem.ops", **labels).inc(n)
+        if nbytes:
+            m.counter("nvshmem.bytes", **labels).inc(nbytes)
+    op_acc.clear()
+    for (pe, src), (n, wait_us) in sorted(wait_acc.items()):
+        m.counter("nvshmem.wait.count", pe=str(pe), src=src).inc(n)
+        m.counter("nvshmem.wait.us", pe=str(pe), src=src).inc(wait_us)
+    wait_acc.clear()
+    for pe in sorted(proxy_acc):
+        n, us = proxy_acc[pe]
+        m.counter("nvshmem.proxy.ops", pe=str(pe)).inc(n)
+        m.counter("nvshmem.proxy.us", pe=str(pe)).inc(us)
+    proxy_acc.clear()
 
 
 class NVSHMEMRuntime:
@@ -67,7 +89,7 @@ class NVSHMEMRuntime:
         self._dom = [ctx.topology.domain_of(pe) for pe in range(self.n_pes)]
         # Op/wait accounting accumulated as plain slots shared by every
         # NVSHMEMDevice handle (handles are created per kernel body) and
-        # folded into the registry by flush_metrics() — registry lookups
+        # folded into the registry by _flush_metrics() — registry lookups
         # are too slow for the per-op path.
         self._op_acc: dict = {}
         self._wait_acc: dict = {}
@@ -80,29 +102,10 @@ class NVSHMEMRuntime:
         #: per-PE proxy-thread accounting (count, us) for inter-node
         #: puts, folded into nvshmem.proxy.* counters at flush
         self._proxy_acc: dict[int, list] = {}
-        ctx.add_metric_flusher(self.flush_metrics)
-
-    def flush_metrics(self) -> None:
-        """Fold accumulated op/wait accounting into the registry
-        (called by the owning context after each simulation run)."""
-        m = self.ctx.metrics
-        if m is None:
-            return
-        for (pe, op, dest_pe), (n, nbytes) in sorted(self._op_acc.items()):
-            labels = {"op": op, "src": str(pe), "dst": str(dest_pe)}
-            m.counter("nvshmem.ops", **labels).inc(n)
-            if nbytes:
-                m.counter("nvshmem.bytes", **labels).inc(nbytes)
-        self._op_acc.clear()
-        for (pe, src), (n, wait_us) in sorted(self._wait_acc.items()):
-            m.counter("nvshmem.wait.count", pe=str(pe), src=src).inc(n)
-            m.counter("nvshmem.wait.us", pe=str(pe), src=src).inc(wait_us)
-        self._wait_acc.clear()
-        for pe in sorted(self._proxy_acc):
-            n, us = self._proxy_acc[pe]
-            m.counter("nvshmem.proxy.ops", pe=str(pe)).inc(n)
-            m.counter("nvshmem.proxy.us", pe=str(pe)).inc(us)
-        self._proxy_acc.clear()
+        # not a bound method: a runtime <-> context cycle would hold a
+        # finished run's heap until the cycle collector runs
+        ctx.add_metric_flusher(partial(
+            _flush_metrics, ctx.metrics, self._op_acc, self._wait_acc, self._proxy_acc))
 
     # -- flow correlation ------------------------------------------------------
 

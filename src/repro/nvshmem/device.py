@@ -5,7 +5,8 @@ process (a thread-block group of a persistent kernel, or a discrete
 kernel body).  Cost semantics:
 
 ========================  ===================================================
-``putmem`` (blocking)      caller pays initiation + full wire time
+``putmem`` (blocking)      caller pays initiation + full wire time: it
+                           starts the delivery leg and waits for it
 ``putmem_nbi``             caller pays initiation only; delivery completes
                            asynchronously (tracked for ``quiet``)
 ``putmem_signal[_nbi]``    as above; the signal is updated *after* the data
@@ -91,6 +92,20 @@ def _wait_command(flag: Flag, cond: WaitCond, target: int,
         return WaitFlag(flag, timeout=timeout, ge=target + 1)
     check = _WAIT_COND_OPS[cond]
     return WaitFlag(flag, lambda v: check(v, target), timeout=timeout)
+
+
+def _apply_signal(runtime: "NVSHMEMRuntime", signal: tuple[Flag, int, SignalOp],
+                  dest_pe: int, signal_index: int, flow: int, src_pe: int) -> None:
+    """Update a signal word; a changed value records ``flow`` as the
+    delivery a ``signal_wait_until`` on it resumes from."""
+    flag, value, op = signal
+    before = flag.value
+    if op is SignalOp.SET:
+        flag.set(value)
+    else:
+        flag.add(value)
+    if flag.value != before:
+        runtime._note_signal_flow(dest_pe, signal_index, flag.value, flow, src_pe)
 
 
 class Scope(enum.Enum):
@@ -180,55 +195,6 @@ class NVSHMEMDevice:
         faults.note_degraded_put(self.pe, dest_pe, nbytes)
         return wire
 
-    def _faulty_wire(
-        self,
-        dest_pe: int,
-        nbytes: float,
-        scope: Scope,
-        name: str,
-        flag_name: str | None = None,
-    ) -> Generator[Any, Any, None]:
-        """Wire-time leg of a *blocking* put under an active fault plan:
-        staged host routing when the link is down, per-attempt latency
-        jitter, and bounded retry with exponential backoff (in simulated
-        time) on dropped deliveries."""
-        faults = self._faults
-        staged = self._staged_wire(dest_pe, nbytes)
-        if staged is not None:
-            yield Delay(staged)
-            return
-        wire = self._wire_time(dest_pe, nbytes, scope)
-        if not faults.delivery_faults_apply(self.pe, dest_pe):
-            yield Delay(wire + faults.transfer_jitter_us(self.pe, dest_pe))
-            return
-        plan = faults.plan
-        attempt = 0
-        while True:
-            yield Delay(wire + faults.transfer_jitter_us(self.pe, dest_pe))
-            outcome, extra_us = faults.delivery_outcome(
-                self.pe, dest_pe, name, flag_name, attempt)
-            if outcome == "ok":
-                break
-            if outcome == "delay":
-                yield Delay(extra_us)
-                break
-            # dropped — a blocking put observes the failure and retries
-            # (silent losses are indistinguishable from drops here)
-            attempt += 1
-            if attempt > plan.retry_limit:
-                raise DeliveryError(
-                    f"{name}: pe{self.pe}->pe{dest_pe} delivery dropped "
-                    f"{attempt} time(s); retry limit {plan.retry_limit} exhausted")
-            yield Delay(faults.retry_backoff_us(attempt))
-        if attempt:
-            faults.note_retries(self.pe, dest_pe, attempt)
-
-    def _apply_signal(self, flag: Flag, value: int, op: SignalOp) -> None:
-        if op is SignalOp.SET:
-            flag.set(value)
-        else:
-            flag.add(value)
-
     def _trace(self, name: str, category: str, start: float, meta: Any = None) -> None:
         self._ctx.trace(self.lane, name, category, start, self._ctx.sim.now, meta)
 
@@ -247,34 +213,17 @@ class NVSHMEMDevice:
             # bypass topology.transfer_us — account the link traffic here
             self._ctx.topology.record_transfer(self.pe, dest_pe, nbytes)
 
-    def _sample_pending(self) -> None:
-        """Emit a Chrome-trace counter sample of in-flight deliveries."""
-        tracer = self._ctx.tracer
-        if tracer is not None:
-            tracer.add_counter(
-                f"nvshmem.pending.pe{self.pe}",
-                self._ctx.sim.now,
-                self.runtime.pending(self.pe).value,
-            )
-
-    def _deliver_async(
-        self,
-        dest_pe: int,
-        wire_us: float,
-        write: Any,
-        signal: tuple[Flag, int, SignalOp] | None,
-        name: str,
-        flow: int | None = None,
-        signal_index: int | None = None,
-        allow_faults: bool = True,
-    ) -> None:
-        """Start the asynchronous delivery leg of an ``nbi`` operation.
+    def _deliver_async(self, dest_pe: int, wire_us: float, write: Any,
+                       signal: tuple[Flag, int, SignalOp] | None, name: str,
+                       flow: int | None = None, signal_index: int | None = None,
+                       allow_faults: bool = True, blocking: bool = False) -> "_Leg":
+        """Start the delivery leg of an operation and return it.
 
         The leg is a :class:`_Leg`: a chain of engine callbacks, never a
         process.  ``flow`` tags the delivery span as the producer of a
         trace flow event (the span ends exactly when the signal is
         applied, which is what a downstream ``signal_wait_until`` chains
-        on).
+        on).  A ``blocking`` leg has a ``done`` flag its caller waits on.
 
         Under an active fault plan the delivery may pick up jitter, be
         delayed, or be dropped: non-silent drops retry with exponential
@@ -291,26 +240,29 @@ class NVSHMEMDevice:
         :meth:`NVSHMEMRuntime.route_issue`).
         """
         runtime = self.runtime
-        runtime._pending[self.pe].add(1)
-        self._sample_pending()
+        pending = runtime._pending[self.pe]
+        pending.add(1)
         sim = self._ctx.sim
+        tracer = self._ctx.tracer
+        if tracer is not None:
+            tracer.add_counter(f"nvshmem.pending.pe{self.pe}", sim.now, pending.value)
         leg = _Leg(self, dest_pe, wire_us, write, signal, name, flow, signal_index,
-                   runtime.route_issue(self.pe, dest_pe), allow_faults)
+                   runtime.route_issue(self.pe, dest_pe), allow_faults, blocking)
         if sim.monitor is not None:
             sim.monitor.spawned(leg, sim.current)
         if leg.fifo:
             sim.call_at(sim.now, leg.send)
         else:
             sim.call_at(sim.now + wire_us, leg.arrived)
+        return leg
 
-    def _writer(self, dst: "SymmetricArray", dst_index: Any, values: np.ndarray,
+    def _writer(self, dst: "SymmetricArray", dst_index: Any, values: Any,
                 dest_pe: int, name: str = "put"):
         """Deferred store of ``values`` into PE ``dest_pe``'s copy of ``dst``.
 
-        Runs in the delivery leg (or the caller, for blocking puts), so
-        a sanitizer attributes the store to the leg or process whose
-        clock actually orders it — the chained signal then publishes
-        exactly this store to waiters.
+        Runs in the delivery leg, so a sanitizer attributes the store to
+        the leg whose clock actually orders it — the chained signal then
+        publishes exactly this store to waiters.
         """
         if dst is None:
             return None
@@ -326,6 +278,64 @@ class NVSHMEMDevice:
                 )
 
         return write
+
+    def _issue(self, op: str, dest_pe: int, nbytes: float, issue_us: float,
+               direct: Scope | float, write: Any, name: str,
+               signal: tuple[Flag, int, SignalOp] | None = None,
+               signal_index: int | None = None,
+               signal_us: float = 0.0) -> Generator[Any, Any, None]:
+        """Non-blocking issue: the caller pays ``issue_us``, then one
+        delivery leg carries the rest.
+
+        ``direct`` prices the direct route: a :class:`Scope` means the
+        scoped put wire (:meth:`_wire_time`), a float is added to the
+        link latency.  ``signal_us`` is added to either route (the
+        signal word update that trails a signaling put's data)."""
+        self._record_op(op, dest_pe, nbytes)
+        flow = self.runtime.next_flow_id() if signal is not None else None
+        start = self._ctx.sim.now
+        yield Delay(issue_us)
+        self._trace(f"{name}:issue", "comm", start)
+        staged = self._staged_wire(dest_pe, nbytes)
+        if staged is not None:
+            wire = staged
+        elif direct.__class__ is Scope:
+            wire = self._wire_time(dest_pe, nbytes, direct)
+        else:
+            wire = self._ctx.topology.link(self.pe, dest_pe).latency_us + direct
+        self._deliver_async(dest_pe, wire + signal_us, write, signal, name, flow,
+                            signal_index, staged is None)
+
+    def _put_blocking(self, op: str, dest_pe: int, nbytes: float, scope: Scope,
+                      write: Any, name: str,
+                      signal: tuple[Flag, int, SignalOp] | None = None,
+                      signal_index: int | None = None) -> Generator[Any, Any, None]:
+        """Blocking put: start one delivery leg, then wait for it.
+
+        Fault-free, the leg starts at call time and carries the put
+        latency with the wire.  Under a fault plan the caller pays the
+        latency first and the leg carries only the wire, so a retry
+        resends the wire, never the issue cost.  The caller applies a
+        ``signal`` ``nvshmem_signal_us`` after its data landed; the leg
+        carries it only to name it in fault diagnostics."""
+        self._record_op(op, dest_pe, nbytes)
+        flow = self.runtime.next_flow_id() if signal is not None else None
+        start = self._ctx.sim.now
+        latency = self._cost.nvshmem_put_latency_us
+        if self._faults is None:
+            wire = latency + self._wire_time(dest_pe, nbytes, scope)
+            leg = self._deliver_async(dest_pe, wire, write, signal, name, blocking=True)
+        else:
+            yield Delay(latency)
+            staged = self._staged_wire(dest_pe, nbytes)
+            wire = staged if staged is not None else self._wire_time(dest_pe, nbytes, scope)
+            leg = self._deliver_async(dest_pe, wire, write, signal, name,
+                                      allow_faults=staged is None, blocking=True)
+        yield WaitFlag(leg.done, eq=1)
+        if signal is not None:
+            yield Delay(self._cost.nvshmem_signal_us)
+            _apply_signal(self.runtime, signal, dest_pe, signal_index, flow, self.pe)
+        self._trace(name, "comm", start, None if flow is None else {"flow_s": flow})
 
     # -- contiguous puts ---------------------------------------------------------
 
@@ -347,17 +357,9 @@ class NVSHMEMDevice:
         """
         values = np.asarray(values)
         size = as_size(nbytes) if nbytes is not None else values.nbytes
-        self._record_op("putmem", dest_pe, size)
-        start = self._ctx.sim.now
-        if self._faults is None:
-            yield Delay(self._cost.nvshmem_put_latency_us + self._wire_time(dest_pe, size, scope))
-        else:
-            yield Delay(self._cost.nvshmem_put_latency_us)
-            yield from self._faulty_wire(dest_pe, size, scope, name)
-        write = self._writer(dst, dst_index, values, dest_pe, name)
-        if write is not None:
-            write()
-        self._trace(name, "comm", start)
+        yield from self._put_blocking(
+            "putmem", dest_pe, size, scope,
+            self._writer(dst, dst_index, values, dest_pe, name), name)
 
     def putmem_nbi(
         self,
@@ -373,14 +375,9 @@ class NVSHMEMDevice:
         """Non-blocking put: returns after initiation; complete at ``quiet``."""
         values = np.array(values, copy=True)  # snapshot source at issue
         size = as_size(nbytes) if nbytes is not None else values.nbytes
-        self._record_op("putmem_nbi", dest_pe, size)
-        start = self._ctx.sim.now
-        yield Delay(self._cost.nvshmem_put_latency_us)
-        self._trace(f"{name}:issue", "comm", start)
-        staged = self._staged_wire(dest_pe, size)
-        wire = staged if staged is not None else self._wire_time(dest_pe, size, scope)
-        self._deliver_async(dest_pe, wire, self._writer(dst, dst_index, values, dest_pe, name),
-                            None, name, allow_faults=staged is None)
+        yield from self._issue(
+            "putmem_nbi", dest_pe, size, self._cost.nvshmem_put_latency_us, scope,
+            self._writer(dst, dst_index, values, dest_pe, name), name)
 
     def putmem_signal(
         self,
@@ -400,27 +397,10 @@ class NVSHMEMDevice:
         """Blocking put + signal: data lands, then the signal updates."""
         values = np.asarray(values)
         size = as_size(nbytes) if nbytes is not None else values.nbytes
-        self._record_op("putmem_signal", dest_pe, size)
-        flow = self.runtime.next_flow_id()
-        start = self._ctx.sim.now
-        if self._faults is None:
-            yield Delay(self._cost.nvshmem_put_latency_us + self._wire_time(dest_pe, size, scope))
-        else:
-            yield Delay(self._cost.nvshmem_put_latency_us)
-            yield from self._faulty_wire(
-                dest_pe, size, scope, name,
-                flag_name=signal.flag(dest_pe, signal_index).name)
-        write = self._writer(dst, dst_index, values, dest_pe, name)
-        if write is not None:
-            write()
-        yield Delay(self._cost.nvshmem_signal_us)
-        flag = signal.flag(dest_pe, signal_index)
-        before = flag.value
-        self._apply_signal(flag, signal_value, sig_op)
-        if flag.value != before:
-            self.runtime._note_signal_flow(
-                dest_pe, signal_index, flag.value, flow, self.pe)
-        self._trace(name, "comm", start, {"flow_s": flow})
+        yield from self._put_blocking(
+            "putmem_signal", dest_pe, size, scope,
+            self._writer(dst, dst_index, values, dest_pe, name), name,
+            (signal.flag(dest_pe, signal_index), signal_value, sig_op), signal_index)
 
     def putmem_signal_nbi(
         self,
@@ -444,24 +424,12 @@ class NVSHMEMDevice:
         """
         values = np.array(values, copy=True)
         size = as_size(nbytes) if nbytes is not None else values.nbytes
-        self._record_op("putmem_signal_nbi", dest_pe, size)
-        flow = self.runtime.next_flow_id()
-        start = self._ctx.sim.now
-        yield Delay(self._cost.nvshmem_put_latency_us)
-        self._trace(f"{name}:issue", "comm", start)
-        staged = self._staged_wire(dest_pe, size)
-        wire = (staged if staged is not None else self._wire_time(dest_pe, size, scope)
-                ) + self._cost.nvshmem_signal_us
-        self._deliver_async(
-            dest_pe,
-            wire,
-            self._writer(dst, dst_index, values, dest_pe, name),
-            (signal.flag(dest_pe, signal_index), signal_value, sig_op),
-            name,
-            flow=flow,
-            signal_index=signal_index,
-            allow_faults=staged is None,
-        )
+        cost = self._cost
+        yield from self._issue(
+            "putmem_signal_nbi", dest_pe, size, cost.nvshmem_put_latency_us, scope,
+            self._writer(dst, dst_index, values, dest_pe, name), name,
+            (signal.flag(dest_pe, signal_index), signal_value, sig_op), signal_index,
+            cost.nvshmem_signal_us)
 
     # -- strided / single-element --------------------------------------------------
 
@@ -483,18 +451,11 @@ class NVSHMEMDevice:
         """
         values = np.array(values, copy=True)
         n = int(elements) if elements is not None else values.size
-        self._record_op("iput", dest_pe, n * values.itemsize)
-        start = self._ctx.sim.now
-        yield Delay(self._cost.nvshmem_put_latency_us)
-        self._trace(f"{name}:issue", "comm", start)
-        staged = self._staged_wire(dest_pe, n * values.itemsize)
-        if staged is not None:
-            wire = staged
-        else:
-            link = self._ctx.topology.link(self.pe, dest_pe)
-            wire = link.latency_us + n * self._cost.nvshmem_iput_element_us
-        self._deliver_async(dest_pe, wire, self._writer(dst, dst_index, values, dest_pe, name),
-                            None, name, allow_faults=staged is None)
+        cost = self._cost
+        yield from self._issue(
+            "iput", dest_pe, n * values.itemsize, cost.nvshmem_put_latency_us,
+            n * cost.nvshmem_iput_element_us,
+            self._writer(dst, dst_index, values, dest_pe, name), name)
 
     def p(
         self,
@@ -506,25 +467,9 @@ class NVSHMEMDevice:
         name: str = "p",
     ) -> Generator[Any, Any, None]:
         """Single-element put (``nvshmem_TYPE_p``), non-blocking."""
-        self._record_op("p", dest_pe, 8)
-        start = self._ctx.sim.now
-        yield Delay(self._cost.nvshmem_p_us)
-        self._trace(f"{name}:issue", "comm", start)
-        staged = self._staged_wire(dest_pe, 8)
-        wire = staged if staged is not None else self._ctx.topology.link(self.pe, dest_pe).latency_us
-        sanitizer = self._ctx.sanitizer
-        src_pe = self.pe
-
-        def write() -> None:
-            if dst is not None:
-                dst.on(dest_pe).data[dst_index] = value
-                if sanitizer is not None:
-                    sanitizer.record_symmetric(
-                        dst, dest_pe, dst_index, "write",
-                        site=f"{name}:pe{src_pe}->pe{dest_pe}", by_pe=src_pe,
-                    )
-
-        self._deliver_async(dest_pe, wire, write, None, name, allow_faults=staged is None)
+        yield from self._issue(
+            "p", dest_pe, 8, self._cost.nvshmem_p_us, 0.0,
+            self._writer(dst, dst_index, value, dest_pe, name), name)
 
     def p_mapped(
         self,
@@ -549,17 +494,10 @@ class NVSHMEMDevice:
             raise ValueError("threads must be positive")
         values = np.array(values, copy=True)
         n = int(elements) if elements is not None else values.size
-        self._record_op("p_mapped", dest_pe, n * 8)
         waves = -(-n // threads)
-        start = self._ctx.sim.now
-        yield Delay(waves * self._cost.nvshmem_p_us)
-        self._trace(f"{name}:issue", "comm", start)
-        staged = self._staged_wire(dest_pe, n * 8)
-        wire = staged if staged is not None else self._wire_time(dest_pe, n * 8, Scope.WARP)
-        self._deliver_async(
-            dest_pe, wire, self._writer(dst, dst_index, values, dest_pe, name), None, name,
-            allow_faults=staged is None,
-        )
+        yield from self._issue(
+            "p_mapped", dest_pe, n * 8, waves * self._cost.nvshmem_p_us, Scope.WARP,
+            self._writer(dst, dst_index, values, dest_pe, name), name)
 
     # -- signaling -------------------------------------------------------------------
 
@@ -579,18 +517,9 @@ class NVSHMEMDevice:
         previously issued ``nbi`` data.  Call :meth:`quiet` first when
         the signal must publish earlier puts (§5.3.1).
         """
-        self._record_op("signal_op", dest_pe, 8)
-        flow = self.runtime.next_flow_id()
-        start = self._ctx.sim.now
-        yield Delay(self._cost.nvshmem_signal_us)
-        self._trace(f"{name}:issue", "comm", start)
-        staged = self._staged_wire(dest_pe, 8)
-        wire = staged if staged is not None else self._ctx.topology.link(self.pe, dest_pe).latency_us
-        self._deliver_async(
-            dest_pe, wire, None,
-            (signal.flag(dest_pe, signal_index), value, op), name,
-            flow=flow, signal_index=signal_index, allow_faults=staged is None,
-        )
+        yield from self._issue(
+            "signal_op", dest_pe, 8, self._cost.nvshmem_signal_us, 0.0, None, name,
+            (signal.flag(dest_pe, signal_index), value, op), signal_index)
 
     def signal_wait_until(
         self,
@@ -730,6 +659,9 @@ class _Leg:
     * ``apply`` writes the data, updates the signal, completes the
       route and drains the sender's pending counter.
 
+    A blocking put's leg sets a ``done`` flag its caller waits on, and
+    retries a silent loss like a drop; the caller applies its signal.
+
     The leg is also its own happens-before identity: the sanitizer sees
     it spawned by the issuing process, and ``apply`` runs with
     ``sim.current`` set to it.
@@ -737,12 +669,12 @@ class _Leg:
 
     __slots__ = ("runtime", "sim", "src", "dst", "wire_us", "write", "signal",
                  "op", "flow", "signal_index", "wait_for", "fifo", "faults",
-                 "faulty", "start", "attempt", "lost")
+                 "faulty", "start", "attempt", "lost", "done")
 
     def __init__(self, dev: NVSHMEMDevice, dst: int, wire_us: float, write: Any,
                  signal: tuple[Flag, int, SignalOp] | None, op: str,
                  flow: int | None, signal_index: int | None, wait_for: int,
-                 allow_faults: bool) -> None:
+                 allow_faults: bool, blocking: bool) -> None:
         self.runtime = dev.runtime
         self.sim = sim = dev.runtime.ctx.sim
         self.src = dev.pe
@@ -763,6 +695,7 @@ class _Leg:
         self.start = sim.now
         self.attempt = 0
         self.lost = False
+        self.done = Flag(sim, 0, name=f"nvshmem.done.pe{dev.pe}->pe{dst}") if blocking else None
 
     @property
     def name(self) -> str:
@@ -786,7 +719,7 @@ class _Leg:
             if outcome == "delay":
                 sim.call_at(sim.now + extra_us, self.landed)
                 return
-            if outcome == "lost":
+            if outcome == "lost" and self.done is None:
                 self.lost = True
             elif outcome != "ok":  # dropped: retransmit after a backoff
                 self.attempt += 1
@@ -812,17 +745,9 @@ class _Leg:
         if not lost:
             if self.write is not None:
                 self.write()
-            if self.signal is not None:
-                flag, value, op = self.signal
-                before = flag.value
-                if op is SignalOp.SET:
-                    flag.set(value)
-                else:
-                    flag.add(value)
-                if (self.flow is not None and self.signal_index is not None
-                        and flag.value != before):
-                    self.runtime._note_signal_flow(
-                        self.dst, self.signal_index, flag.value, self.flow, self.src)
+            if self.signal is not None and self.done is None:
+                _apply_signal(self.runtime, self.signal, self.dst, self.signal_index,
+                              self.flow, self.src)
         self._complete()
         tracer = self.runtime.ctx.tracer
         if tracer is not None:
@@ -841,3 +766,5 @@ class _Leg:
         if tracer is not None:
             tracer.add_counter(f"nvshmem.pending.pe{self.src}", self.sim.now,
                                pending.value)
+        if self.done is not None:
+            self.done.set(1)

@@ -89,7 +89,9 @@ class RecoveryManager:
     """
 
     def __init__(self, instance: Any, plan: FaultPlan) -> None:
-        self.instance = instance
+        # not the instance: the injector keeps this manager's crash
+        # handler, and that cycle would hold a finished segment's heap
+        self.tracer = instance.tracer
         self.plan = plan
         self.sim = instance.ctx.sim
         self.faults = instance.faults
@@ -128,7 +130,7 @@ class RecoveryManager:
     def _detect(self, pe: int, crash_t: float, detect_t: float) -> None:
         exc = PECrashDetected(pe, crash_t, detect_t)
         self.detected.append(exc)
-        tracer = self.instance.tracer
+        tracer = self.tracer
         if tracer is not None:
             tracer.add_instant(
                 "recover:crash_detected", detect_t, category="recover",

@@ -26,7 +26,6 @@ from repro.sim.engine import (
     Watchdog,
     WatchdogError,
 )
-from repro.sim.resources import Channel, Mutex, Semaphore
 from repro.sim.trace import (
     Span,
     Tracer,
@@ -36,15 +35,12 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "Channel",
     "DeadlockError",
     "Delay",
     "Flag",
-    "Mutex",
     "Process",
     "ProcessFailed",
     "ProcessKilled",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "Span",

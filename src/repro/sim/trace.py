@@ -119,7 +119,6 @@ class Tracer:
         #: equals ``self._merged_rows``
         self._merged: dict[str, list[tuple[float, float]]] = {}
         self._merged_rows = 0
-        self._open: dict[tuple[str, str], tuple[str, float]] = {}
         self._counters: list[tuple[str, float, float]] = []
         self._instants: list[tuple[float, str, str, Any]] = []
         #: ``(joint run, member index)`` until a demuxed member is split
@@ -186,43 +185,6 @@ class Tracer:
         if not (start <= end):
             raise ValueError(f"span ends before it starts: {name} [{start}, {end})")
         self._rows.append((lane, name, category, start, end, meta))
-
-    def begin(self, lane: str, name: str, category: str, now: float) -> None:
-        """Open a span; pair with :meth:`end` using the same (lane, name)."""
-        self._open[(lane, name)] = (category, now)
-
-    def end(self, lane: str, name: str, now: float) -> None:
-        """Close the span :meth:`begin` opened; a failed close leaves it open."""
-        try:
-            category, start = self._open[(lane, name)]
-        except KeyError:
-            raise ValueError(
-                f"Tracer.end() without a matching begin(): no open span "
-                f"named {name!r} on lane {lane!r}"
-            ) from None
-        self.record(lane, name, category, start, now)
-        del self._open[(lane, name)]
-
-    def close_all(self, now: float, *, lanes: Any = None,
-                  tag: str | None = None) -> list[tuple[str, str]]:
-        """Close dangling open spans at ``now`` (crash hygiene: a
-        process that died mid-span still shows up in the timeline).
-
-        ``lanes`` narrows the sweep to matching lanes — a ``lane ->
-        bool`` predicate, so a PE crash can close exactly the dead PE's
-        spans while survivors keep theirs open.  ``tag`` marks every
-        closed span with ``{"closed_by": tag}`` meta, making
-        crash-truncated spans distinguishable from normally-ended ones
-        in the exported trace.  Returns the closed ``(lane, name)``
-        pairs, sorted.
-        """
-        closed = sorted(
-            key for key in self._open if lanes is None or lanes(key[0]))
-        meta = {"closed_by": tag} if tag is not None else None
-        for key in closed:
-            category, start = self._open.pop(key)
-            self.record(key[0], key[1], category, start, max(start, now), meta)
-        return closed
 
     def add_counter(self, name: str, now: float, value: float) -> None:
         """Record one sample of a time-varying counter (e.g. in-flight

@@ -4,10 +4,12 @@ delivery-ordering guarantees and the missing-quiet race."""
 import numpy as np
 import pytest
 
+from repro.faults import DeliveryError, DeliveryFault, FaultPlan
 from repro.hw import HGX_A100_8GPU
 from repro.nvshmem import NVSHMEMRuntime, SignalOp, WaitCond
 from repro.nvshmem.device import Scope
 from repro.runtime import MultiGPUContext
+from repro.sanitize import attach_sanitizer, detect_races
 from repro.sim import Delay, Tracer
 
 
@@ -159,6 +161,99 @@ class TestPutmemSignal:
         rt.ctx.sim.spawn(pe(1, 0), name="pe1")
         rt.ctx.run()
         assert len(seen) == 2 * iterations
+
+
+def _blocking_signal_put(plan=None, n=8):
+    """One blocking ``putmem_signal`` of ``n`` doubles, PE 0 -> PE 1."""
+    ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(2), tracer=Tracer(),
+                          faults=plan.injector() if plan is not None else None)
+    rt = NVSHMEMRuntime(ctx)
+    arr = rt.malloc("x", (n,), fill=0.0)
+    sig = rt.malloc_signals("f", 1)
+
+    def pe0():
+        yield from rt.device(0).putmem_signal(
+            arr, slice(None), np.ones(n), sig, 0, 5, dest_pe=1)
+
+    ctx.sim.spawn(pe0(), name="pe0")
+    return ctx.run(), ctx, arr, sig
+
+
+def _drops(max_drops, *, silent=False):
+    return FaultPlan(deliveries=(
+        DeliveryFault(drop_prob=1.0, silent=silent, max_drops=max_drops),))
+
+
+class TestBlockingDelivery:
+    """A blocking put starts one delivery leg and waits for it."""
+
+    def test_fault_free_time_is_latency_plus_wire_then_signal(self):
+        total, ctx, arr, sig = _blocking_signal_put()
+        link = ctx.topology.link(0, 1)
+        wire = link.latency_us + 64 / (link.bandwidth_gbps * 1.0 * 1000.0)
+        assert total == (ctx.cost.nvshmem_put_latency_us + wire) + ctx.cost.nvshmem_signal_us
+        assert sig.value(1, 0) == 5
+        assert np.all(arr.local(1) == 1.0)
+
+    @pytest.mark.parametrize("max_drops, silent, expected_us", [
+        (1, False, 6.600426666666667),   # one backoff of 2 us and one resent wire
+        (2, False, 11.900640000000001),  # backoffs of 2 + 4 us and two resent wires
+        (1, True, 6.600426666666667),    # a silent loss is retried like a drop
+    ])
+    def test_dropped_attempts_retry_the_wire(self, max_drops, silent, expected_us):
+        total, ctx, arr, sig = _blocking_signal_put(_drops(max_drops, silent=silent))
+        assert total == expected_us
+        assert ctx.faults.total_retries == max_drops
+        assert sig.value(1, 0) == 5
+        assert np.all(arr.local(1) == 1.0)
+
+    def test_unlimited_drops_exhaust_the_retry_limit(self):
+        with pytest.raises(DeliveryError, match=(
+                r"putmem_signal: pe0->pe1 delivery dropped 9 time\(s\); "
+                r"retry limit 8 exhausted")):
+            _blocking_signal_put(_drops(None))
+
+    def test_signal_publishes_the_store_made_by_the_leg(self):
+        """The leg writes the data; the caller takes the leg's clock back
+        through ``done``, so its signal orders the store before a reader."""
+        ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(2))
+        sanitizer = attach_sanitizer(ctx)
+        rt = NVSHMEMRuntime(ctx)
+        arr = rt.malloc("a", (8,), fill=0.0)
+        sig = rt.malloc_signals("s", 1)
+
+        def pe0():
+            yield from rt.device(0).putmem_signal(
+                arr, slice(None), np.ones(8), sig, 0, 1, dest_pe=1)
+
+        def pe1():
+            yield from rt.device(1).signal_wait_until(sig, 0, WaitCond.GE, 1)
+            sanitizer.record_symmetric(arr, 1, slice(None), "read", site="pe1.read", by_pe=1)
+
+        ctx.sim.spawn(pe0(), name="gpu0.k")
+        ctx.sim.spawn(pe1(), name="gpu1.k")
+        ctx.run()
+        assert len(sanitizer.accesses) == 2
+        assert detect_races(sanitizer) == []
+
+    def test_waits_for_earlier_nbi_puts_on_the_route_under_faults(self):
+        """Under a fault plan a route is FIFO: the blocking put lands
+        after the dropped and resent ``nbi`` put issued before it."""
+        ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(2),
+                              faults=_drops(1).injector())
+        rt = NVSHMEMRuntime(ctx)
+        arr = rt.malloc("x", (1 << 12,), fill=0.0)
+
+        def pe0():
+            dev = rt.device(0)
+            yield from dev.putmem_nbi(arr, slice(None), np.full(1 << 12, 1.0), dest_pe=1)
+            yield from dev.putmem(arr, slice(0, 1), np.full(1, 2.0), dest_pe=1)
+
+        ctx.sim.spawn(pe0(), name="pe0")
+        total = ctx.run()
+        assert arr.local(1)[0] == 2.0
+        assert ctx.faults.total_retries == 1
+        assert total == 5.918453333333334  # the nbi put's resent landing
 
 
 class TestStridedAndScalar:

@@ -1,9 +1,10 @@
 """Properties of the NVSHMEM delivery path on random put bursts.
 
 Every delivery leg is a chain of engine callbacks, whatever observes
-it.  Random bursts of ``putmem_signal_nbi`` on 3 PEs (each source
-writes its own slice of the destination, some puts followed by a
-``fence``) check that
+it, and a blocking put waits for its own leg.  Random bursts of
+``putmem_signal_nbi`` and blocking ``putmem_signal`` on 3 PEs (each
+source writes its own slice of the destination, some puts followed by
+a ``fence``) check that
 
 * attaching the sanitizer observes the run without changing it:
   simulated time, memory, signal words and the Chrome trace agree;
@@ -31,6 +32,7 @@ put_bursts = st.lists(
         st.integers(min_value=0, max_value=PES - 1),  # dst pe
         st.integers(min_value=1, max_value=SLOT),     # elements
         st.booleans(),                                # fence after the put
+        st.booleans(),                                # blocking put
     ).filter(lambda t: t[0] != t[1]),
     min_size=1, max_size=12)
 
@@ -50,13 +52,13 @@ def _burst(puts, *, sanitize=False, plan=None):
 
     def sender(pe):
         dev = rt.device(pe)
-        for k, (src, dst, n, fence) in enumerate(puts, start=1):
+        for k, (src, dst, n, fence, blocking) in enumerate(puts, start=1):
             if src != pe:
                 continue
             lo = src * SLOT
-            yield from dev.putmem_signal_nbi(
-                arr, slice(lo, lo + n), np.full(n, float(k)), sig, src, 1,
-                dest_pe=dst, sig_op=SignalOp.ADD)
+            put = dev.putmem_signal if blocking else dev.putmem_signal_nbi
+            yield from put(arr, slice(lo, lo + n), np.full(n, float(k)), sig, src, 1,
+                           dest_pe=dst, sig_op=SignalOp.ADD)
             if fence:
                 yield from dev.fence()
         yield from dev.quiet()
@@ -72,7 +74,7 @@ def _burst(puts, *, sanitize=False, plan=None):
 def _issue_order_memory(puts):
     """Final memory when every route applies its puts in issue order."""
     memory = [np.zeros(PES * SLOT) for _ in range(PES)]
-    for k, (src, dst, n, _) in enumerate(puts, start=1):
+    for k, (src, dst, n, _, _) in enumerate(puts, start=1):
         memory[dst][src * SLOT:src * SLOT + n] = float(k)
     return tuple(m.tobytes() for m in memory)
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     Delay,
-    Semaphore,
     Simulator,
     WaitFlag,
     interval_union_length,
@@ -80,29 +79,6 @@ class TestEngineProperties:
 
         sim.spawn(worker())
         assert abs(sim.run() - sum(delays)) < 1e-6
-
-    @given(st.integers(min_value=1, max_value=8),
-           st.integers(min_value=1, max_value=30))
-    @settings(max_examples=25, deadline=None)
-    def test_semaphore_never_oversubscribed(self, limit, workers):
-        sim = Simulator()
-        sem = Semaphore(sim, value=limit)
-        active = [0]
-        peak = [0]
-
-        def worker():
-            yield from sem.acquire()
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-            yield Delay(1.0)
-            active[0] -= 1
-            sem.release()
-
-        for _ in range(workers):
-            sim.spawn(worker())
-        sim.run()
-        assert peak[0] <= limit
-        assert sem.value == limit
 
     @given(st.lists(st.integers(min_value=0, max_value=50),
                     min_size=1, max_size=20))

@@ -1,7 +1,9 @@
 """Checkpoint/restart recovery: byte-identity, time accounting,
 heap snapshots, and the unrecoverable diagnostic."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -127,6 +129,35 @@ class TestCrashRecovery:
         assert "recover.checkpoints" in names
         assert "recover.restarts" in names
         assert "recover.lost_time_us" in names
+
+
+class TestSegmentMemory:
+    @pytest.mark.parametrize("profile, every", [(None, 2), ("crash_recover", None)])
+    def test_clean_segments_free_without_the_cycle_collector(self, monkeypatch,
+                                                             profile, every):
+        """A finished clean segment's context (its heap, buffers and
+        trace) goes as soon as the next segment replaces it, so peak
+        memory does not depend on when the cycle collector last ran."""
+        cls = VARIANTS["cpufree"]
+        contexts = []
+        original = cls.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            contexts.append(weakref.ref(self.ctx))
+
+        monkeypatch.setattr(cls, "__init__", tracking_init)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = run_with_recovery(cls, _config(profile), checkpoint_every=every)
+            alive = [ref() is not None for ref in contexts]
+        finally:
+            gc.enable()
+        attempts = outcome.attempts
+        assert len(alive) == len(attempts) >= 3
+        assert not any(alive[i] for i, attempt in enumerate(attempts[:-1])
+                       if attempt["status"] == "ok")
 
 
 class TestUnrecoverable:

@@ -1,6 +1,5 @@
 """Edge cases of the tracer left unpinned by the mainline trace tests:
-zero-duration-only timelines, ``close_all`` hygiene semantics, counter
-samples interleaved with flow links in the Chrome export, and the lane
+zero-duration-only timelines, span validation, counter samples interleaved with flow links in the Chrome export, and the lane
 naming helpers the per-PE accounting is built on."""
 
 import pytest
@@ -61,40 +60,7 @@ class TestZeroDurationRendering:
         assert Tracer().render_ascii() == "(empty timeline)"
 
 
-class TestCloseAll:
-    def test_closes_dangling_spans_sorted_and_clears(self):
-        tracer = Tracer()
-        tracer.begin("gpu1.s", "late", "compute", 3.0)
-        tracer.begin("gpu0.s", "early", "comm", 1.0)
-        closed = tracer.close_all(9.0)
-        assert closed == [("gpu0.s", "early"), ("gpu1.s", "late")]
-        by_name = {s.name: s for s in tracer.spans}
-        assert by_name["early"].end == 9.0 and by_name["early"].category == "comm"
-        assert by_name["late"].end == 9.0
-
-    def test_second_call_is_a_noop(self):
-        tracer = Tracer()
-        tracer.begin("gpu0.s", "work", "compute", 1.0)
-        tracer.close_all(5.0)
-        n_spans = len(tracer.spans)
-        assert tracer.close_all(99.0) == []
-        assert len(tracer.spans) == n_spans
-
-    def test_now_before_start_clamps_to_zero_duration(self):
-        # crash hygiene must never manufacture a negative-duration span
-        tracer = Tracer()
-        tracer.begin("gpu0.s", "work", "compute", 10.0)
-        tracer.close_all(4.0)
-        [span] = tracer.spans
-        assert (span.start, span.end) == (10.0, 10.0)
-
-    def test_end_after_close_all_raises(self):
-        tracer = Tracer()
-        tracer.begin("gpu0.s", "work", "compute", 1.0)
-        tracer.close_all(5.0)
-        with pytest.raises(ValueError, match="without a matching begin"):
-            tracer.end("gpu0.s", "work", 6.0)
-
+class TestRecordValidation:
     def test_negative_duration_record_raises(self):
         with pytest.raises(ValueError, match="ends before it starts"):
             Tracer().record("gpu0.s", "bad", "compute", 5.0, 4.0)

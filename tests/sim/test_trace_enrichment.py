@@ -1,53 +1,9 @@
-"""Tests for the tracer's observability enrichments: descriptive
-``end()`` errors, ``close_all``, counter samples, flow events, and the
-upgraded ASCII renderer."""
+"""Tests for the tracer's observability enrichments: counter samples,
+flow events, and the upgraded ASCII renderer."""
 
 import pytest
 
 from repro.sim.trace import Tracer
-
-
-class TestEndErrors:
-    def test_end_without_begin_names_lane_and_span(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError) as err:
-            tracer.end("gpu0", "halo", now=1.0)
-        message = str(err.value)
-        assert "'halo'" in message and "'gpu0'" in message
-        assert "without a matching begin()" in message
-
-    def test_end_twice_raises_on_second(self):
-        tracer = Tracer()
-        tracer.begin("gpu0", "halo", "comm", now=0.0)
-        tracer.end("gpu0", "halo", now=1.0)
-        with pytest.raises(ValueError, match="matching begin"):
-            tracer.end("gpu0", "halo", now=2.0)
-
-
-class TestCloseAll:
-    def test_closes_dangling_spans_at_now(self):
-        tracer = Tracer()
-        tracer.begin("gpu0", "a", "compute", now=0.0)
-        tracer.begin("gpu1", "b", "sync", now=2.0)
-        closed = tracer.close_all(now=5.0)
-        assert closed == [("gpu0", "a"), ("gpu1", "b")]
-        assert {(s.lane, s.name, s.end) for s in tracer.spans} == {
-            ("gpu0", "a", 5.0), ("gpu1", "b", 5.0),
-        }
-
-    def test_never_creates_negative_spans(self):
-        tracer = Tracer()
-        tracer.begin("gpu0", "late", "api", now=10.0)
-        tracer.close_all(now=3.0)
-        (span,) = tracer.spans
-        assert span.start == span.end == 10.0
-
-    def test_idempotent(self):
-        tracer = Tracer()
-        tracer.begin("gpu0", "a", "compute", now=0.0)
-        tracer.close_all(now=1.0)
-        assert tracer.close_all(now=2.0) == []
-        assert len(tracer.spans) == 1
 
 
 class TestCounterSamples:

@@ -12,15 +12,17 @@ Usage::
 Sweep points run through :mod:`repro.perf`: independent figure
 configurations fan out over worker processes (``--jobs``) and replay
 from an on-disk result cache keyed by a content hash of configuration
-+ simulator sources.  The report body is byte-identical at any
-``--jobs`` setting; wall-clock timings and cache statistics print to
-stdout only, never into ``--out``.
++ simulator sources.  Each point is cached as it completes, so
+rerunning with the same ``--cache-dir`` after a finished or killed
+run replays every finished point and computes only the rest.  The
+report body is byte-identical at any ``--jobs`` setting and on replay;
+wall-clock timings and cache statistics print to stdout only, never
+into ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from contextlib import nullcontext
@@ -39,9 +41,8 @@ from repro.bench.figures import (
 from repro.bench.report import history_fields, render_figure
 from repro.cliutil import cli_entry
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.perf import ResultCache, SweepManifest, SweepRunner, use_runner
+from repro.perf import ResultCache, SweepRunner, use_runner
 from repro.perf.cache import DEFAULT_CACHE_DIR
-from repro.perf.manifest import SweepJournal
 
 
 def _run_22():
@@ -141,33 +142,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="write per-point cProfile stats (sorted by "
                              "cumulative time) to PATH, one section per "
                              "computed sweep point; forces --jobs 1")
-    parser.add_argument("--save-manifest", type=str, default=None, metavar="PATH",
-                        help="record every sweep point's cache key to PATH "
-                             "(a replay baseline for --changed-only); "
-                             "requires the cache")
-    parser.add_argument("--changed-only", type=str, default=None, metavar="PATH",
-                        help="compare each point's cache key against the "
-                             "manifest at PATH: unchanged points replay from "
-                             "the cache, only changed/new points recompute "
-                             "(a summary prints to stdout); requires the cache")
-    parser.add_argument("--resume", type=str, default=None, metavar="PATH",
-                        help="journal completed sweep points to PATH as they "
-                             "finish and, when PATH already exists, replay the "
-                             "journaled points from the cache — a sweep killed "
-                             "mid-run loses at most the in-flight points; "
-                             "requires the cache")
     parser.add_argument("--batch", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="fuse compatible cache-miss sweep points into one "
                              "vector-clock simulation (default on; --no-batch "
                              "forces the per-point path — output and cache "
                              "entries are byte-identical either way)")
-    parser.add_argument("--prune-stale", type=str, default=None, metavar="PATH",
-                        help="after the run, diff the recorded point keys "
-                             "against the manifest at PATH and evict cache "
-                             "entries whose key changed or whose point "
-                             "disappeared (a summary prints to stdout); "
-                             "requires the cache")
     parser.add_argument("--metrics-out", type=str, default=None, metavar="PATH",
                         help="collect observability metrics across the run and "
                              "write the registry dump (JSON) to PATH; the dump "
@@ -217,39 +197,6 @@ def main(argv: list[str] | None = None) -> int:
 
     jobs = 1 if (args.profile or args.profile_out) else args.jobs
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if cache is None and (args.save_manifest or args.changed_only
-                          or args.prune_stale or args.resume):
-        parser.error("--save-manifest/--changed-only/--prune-stale/--resume "
-                     "need the result cache; drop --no-cache")
-    if args.resume and args.changed_only:
-        parser.error("--resume and --changed-only both pick the replay "
-                     "baseline; use one or the other")
-    manifest = (SweepManifest()
-                if args.save_manifest or args.prune_stale else None)
-    baseline = None
-    if args.changed_only:
-        try:
-            baseline = SweepManifest.load(args.changed_only)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"--changed-only: {exc}")
-    journal = None
-    journal_corrupt: list[tuple[int, str]] = []
-    resumed_points = 0
-    if args.resume:
-        import os.path
-
-        if os.path.exists(args.resume):
-            # a prior (possibly killed) run left a journal: its intact
-            # lines become the replay baseline, torn lines just recompute
-            baseline, journal_corrupt = SweepJournal.load(args.resume)
-            resumed_points = len(baseline)
-        journal = SweepJournal(args.resume)
-    prune_baseline = None
-    if args.prune_stale:
-        try:
-            prune_baseline = SweepManifest.load(args.prune_stale)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"--prune-stale: {exc}")
     if args.history and not args.run_label:
         parser.error("--history needs --run-label to name this run's records")
     sinks = []
@@ -281,9 +228,8 @@ def main(argv: list[str] | None = None) -> int:
 
         progress = MultiSink(*sinks)
     profile_sink: list[tuple[str, str]] | None = [] if args.profile_out else None
-    runner = SweepRunner(jobs=jobs, cache=cache, manifest=manifest,
-                         baseline=baseline, profile_sink=profile_sink,
-                         batch=args.batch, progress=progress, journal=journal)
+    runner = SweepRunner(jobs=jobs, cache=cache, profile_sink=profile_sink,
+                         batch=args.batch, progress=progress)
     profiler = None
     if args.profile:
         import cProfile
@@ -328,17 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"(batched execution: {runner.batch_points} point(s) fused into "
               f"{runner.batch_groups} run(s), {runner.batch_fallbacks} "
               f"fallback(s))")
-    if args.changed_only:
-        print(f"(changed-only vs {args.changed_only}: {runner.replayed} "
-              f"replayed, {runner.changed} changed, {runner.added} new, "
-              f"{runner.stale} stale)")
-    if journal is not None:
-        journal.close()
-        torn = (f", {len(journal_corrupt)} torn journal line(s) skipped"
-                if journal_corrupt else "")
-        print(f"(resume journal {args.resume}: {resumed_points} point(s) "
-              f"from the previous run, {runner.replayed} replayed from "
-              f"cache{torn})")
     if cache is not None and cache.quarantined:
         for key, reason in cache.quarantined:
             print(f"(cache entry {key[:12]}… quarantined: {reason} — "
@@ -347,19 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         for point in runner.quarantined:
             print(f"(sweep point quarantined after {point.attempts} "
                   f"attempt(s): {point.identity} — {point.reason})")
-    if prune_baseline is not None:
-        diff = manifest.diff(prune_baseline)
-        live = set(manifest.entries.values())
-        stale_keys = sorted(
-            {prune_baseline.entries[i] for i in diff.changed + diff.removed}
-            - live)
-        evicted = sum(cache.evict(k) for k in stale_keys)
-        print(f"(prune-stale vs {args.prune_stale}: {evicted} dead cache "
-              f"entr{'y' if evicted == 1 else 'ies'} evicted — "
-              f"{len(diff.changed)} changed, {len(diff.removed)} removed)")
-    if args.save_manifest:
-        manifest.save(args.save_manifest)
-        print(f"({len(manifest)} point key(s) recorded to {args.save_manifest})")
     if profile_sink is not None:
         with open(args.profile_out, "w") as fh:
             for identity, text in profile_sink:

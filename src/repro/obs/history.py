@@ -1,7 +1,7 @@
-"""Append-only perf history keyed by manifest point identity.
+"""Append-only perf history keyed by point identity.
 
-Every sweep point already has a source-independent name — the PR 5
-manifest :func:`~repro.perf.cache.point_identity`.  This module turns
+Every sweep point already has a source-independent name — its
+:func:`~repro.perf.cache.point_identity`.  This module turns
 runs into a *trajectory*: each run appends one JSONL record per point
 (simulated per-iteration time, overlap fraction, wall time, metrics
 digest), and ``repro.obs regress`` compares two runs with noise-aware

@@ -8,13 +8,10 @@ the configuration and the simulator sources.  See docs/performance.md.
 """
 
 from repro.perf.cache import ResultCache, point_identity, source_digest
-from repro.perf.manifest import ManifestDiff, SweepManifest
 from repro.perf.sweep import SweepRunner, active_runner, use_runner
 
 __all__ = [
-    "ManifestDiff",
     "ResultCache",
-    "SweepManifest",
     "SweepRunner",
     "active_runner",
     "point_identity",

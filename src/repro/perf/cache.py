@@ -58,11 +58,10 @@ def source_digest() -> str:
 def point_identity(fn: Callable, args: tuple, variant: str = "") -> str:
     """Source-independent identity of one sweep point.
 
-    This is the manifest's row key: it names *which* point a cache key
-    belongs to, and survives source edits (which change the key but
-    not the identity).  ``repr(args)`` must be a faithful value
-    rendering — sweep workers take primitives and frozen dataclasses,
-    which it is.
+    It names *which* point a cache key belongs to, and survives source
+    edits (which change the key but not the identity).  ``repr(args)``
+    must be a faithful value rendering — sweep workers take primitives
+    and frozen dataclasses, which it is.
     """
     return f"{fn.__module__}.{fn.__qualname__}|{args!r}|{variant}"
 
@@ -125,14 +124,6 @@ class ResultCache:
         except OSError:
             pass  # concurrent quarantine of the same entry: fine
         self.quarantined.append((key, reason))
-
-    def evict(self, key: str) -> bool:
-        """Delete the entry for ``key``; ``True`` if a file was removed."""
-        try:
-            os.remove(self.root / f"{key}.pkl")
-            return True
-        except OSError:
-            return False
 
     def put(self, key: str, value: Any) -> None:
         """Atomic write (tmp file + rename) so concurrent sweeps never

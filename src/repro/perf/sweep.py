@@ -8,13 +8,11 @@ are always assembled in *submission order*, so the output is
 byte-identical no matter how many jobs ran or which points were cache
 hits (the determinism contract enforced by ``tests/perf``).
 
-Incremental replay rides on the same key machinery: a
-:class:`~repro.perf.manifest.SweepManifest` can record every point's
-cache key (``--save-manifest``) and a previously saved ledger can be
-supplied as a baseline (``--changed-only``), in which case the runner
-tallies which points were replayed unchanged, which re-ran because
-their key changed, and which are new — see :mod:`repro.perf.manifest`
-for the exact semantics.
+The cache is the only incremental mechanism.  Each point is stored
+the moment it completes (pooled points in completion order, not
+submission order), so rerunning a killed or finished sweep against the
+same cache directory replays every finished point and computes only
+the rest; the ``hits`` / ``misses`` tallies are the replay report.
 
 Figure code never receives a runner explicitly: it calls
 :func:`active_runner`, which defaults to a serial, cache-less runner
@@ -28,7 +26,7 @@ from __future__ import annotations
 import copy
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -37,7 +35,6 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.obs.metrics import MetricsRegistry, active_metrics, use_metrics
 from repro.perf.batch import BatchAdapter, adapter_for
 from repro.perf.cache import ResultCache, point_identity
-from repro.perf.manifest import SweepJournal, SweepManifest
 
 __all__ = ["QuarantinedPoint", "SweepRunner", "active_runner", "use_runner"]
 
@@ -77,19 +74,6 @@ class SweepRunner:
         when ``jobs > 1``.
     ``cache``
         A :class:`ResultCache`, or ``None`` to recompute everything.
-    ``manifest``
-        A :class:`SweepManifest` the runner records every point's
-        (identity, key) into — save it afterwards to capture the run
-        as a replay baseline.  Requires ``cache``.
-    ``baseline``
-        A previously saved manifest to compare against (the
-        ``--changed-only`` mode).  Points whose key matches the
-        baseline replay from the cache and count as ``replayed``
-        (or ``stale`` if the cache entry was evicted and the point had
-        to recompute); mismatches count as ``changed``; identities the
-        baseline has never seen count as ``added``.  Requires
-        ``cache`` — the comparison steers where results come from, it
-        never changes what they are.
     ``profile_sink``
         When not ``None``, every *computed* point runs under its own
         ``cProfile`` and ``(identity, stats text)`` — sorted by
@@ -109,12 +93,6 @@ class SweepRunner:
         started / finished).  Strictly an observer: results, cache
         keys, and scheduling are identical with or without a sink, and
         ``None`` (the default) costs nothing.
-    ``journal``
-        A :class:`~repro.perf.manifest.SweepJournal` the runner appends
-        each completed point's (identity, key) to *as it finishes* —
-        the crash-safe ledger behind ``repro.bench --resume``.
-        Requires ``cache`` (a journal entry promises the cache holds
-        the result).
     ``retries``
         Extra single-worker attempts granted to each point stranded by
         a dead pool worker before the point is quarantined (default 2).
@@ -123,26 +101,16 @@ class SweepRunner:
     """
 
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
-                 manifest: SweepManifest | None = None,
-                 baseline: SweepManifest | None = None,
                  profile_sink: list[tuple[str, str]] | None = None,
                  batch: bool = True, progress: Any | None = None,
-                 journal: SweepJournal | None = None,
                  retries: int = 2) -> None:
-        if cache is None and (manifest is not None or baseline is not None
-                              or journal is not None):
-            raise ValueError("sweep manifests require a ResultCache "
-                             "(keys are what they record)")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = max(1, jobs)
         self.cache = cache
-        self.manifest = manifest
-        self.baseline = baseline
         self.profile_sink = profile_sink
         self.batch = batch
         self.progress = progress
-        self.journal = journal
         self.retries = retries
         #: poison points (worker death on every attempt), in index order
         self.quarantined: list[QuarantinedPoint] = []
@@ -152,22 +120,6 @@ class SweepRunner:
         self.batch_groups = 0
         self.batch_points = 0
         self.batch_fallbacks = 0
-        #: --changed-only tallies (all zero when no baseline is set)
-        self.replayed = 0
-        self.changed = 0
-        self.added = 0
-        self.stale = 0
-
-    def _classify(self, previous: str | None, key: str, hit: bool) -> None:
-        """Fold one baseline comparison into the replay tallies."""
-        if previous is None:
-            self.added += 1
-        elif previous != key:
-            self.changed += 1
-        elif hit:
-            self.replayed += 1
-        else:
-            self.stale += 1
 
     def _profiled(self, fn: Callable, args: tuple, identity: str,
                   compute: Callable[[], Any]) -> Any:
@@ -258,7 +210,9 @@ class SweepRunner:
                   variant: str) -> None:
         """Fan pending points out to a process pool, surviving worker
         death: a :class:`BrokenProcessPool` flips the remaining points
-        into careful mode instead of aborting the sweep."""
+        into careful mode instead of aborting the sweep.  Points are
+        stored in completion order, so a slow point never holds back
+        the cache entries of points that finished after it."""
         resolved: set[int] = set()
         submitted = time.perf_counter()
         try:
@@ -267,11 +221,12 @@ class SweepRunner:
                     for i in pending:
                         self.progress.point_started(i, idents[i])
                 if with_metrics:
-                    futures = [(i, pool.submit(_call_with_metrics, fn, argtuples[i]))
-                               for i in pending]
+                    futures = {pool.submit(_call_with_metrics, fn, argtuples[i]): i
+                               for i in pending}
                 else:
-                    futures = [(i, pool.submit(fn, *argtuples[i])) for i in pending]
-                for i, future in futures:
+                    futures = {pool.submit(fn, *argtuples[i]): i for i in pending}
+                for future in as_completed(futures):
+                    i = futures[future]
                     results[i] = future.result()
                     resolved.add(i)
                     store(i)
@@ -314,22 +269,10 @@ class SweepRunner:
         for i, args in enumerate(argtuples):
             if self.cache is not None:
                 keys[i] = self.cache.key(fn, args, variant=variant)
-                previous = None
-                if (self.manifest is not None or self.baseline is not None
-                        or self.journal is not None):
-                    identity = point_identity(fn, args, variant)
-                    if self.baseline is not None:
-                        previous = self.baseline.key_for(identity)
-                    if self.manifest is not None:
-                        self.manifest.record(identity, keys[i])
                 hit, value = self.cache.get(keys[i])
-                if self.baseline is not None:
-                    self._classify(previous, keys[i], hit)
                 if hit:
                     results[i] = value
                     self.hits += 1
-                    if self.journal is not None:
-                        self.journal.append(identity, keys[i])
                     if self.progress is not None:
                         self.progress.point_cached(i, idents[i])
                     continue
@@ -341,7 +284,6 @@ class SweepRunner:
         def store(i: int) -> None:
             # persist each point the moment it completes, so a sweep
             # killed mid-flight leaves every finished point replayable
-            # (the journal line promises the cache holds the result)
             if self.cache is None or keys[i] is None:
                 return
             value = results[i]
@@ -351,9 +293,6 @@ class SweepRunner:
                 # normalize to the picklable cached form
                 value = results[i] = (value[0], value[1].to_dict())
             self.cache.put(keys[i], value)
-            if self.journal is not None:
-                self.journal.append(
-                    point_identity(fn, argtuples[i], variant), keys[i])
 
         if pending:
             adapter = (adapter_for(fn)

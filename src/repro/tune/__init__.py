@@ -7,10 +7,9 @@ alone.  This package *refines* that guess by measuring: it sweeps
 (chunk count × TB-specialization split × boundary fusion) candidates
 per (app, topology, size) through the :mod:`repro.perf` runner, so
 every trial is an ordinary sweep point — fanned out over ``--jobs``
-worker processes, cached on disk by content key, and replayable via
-``--changed-only`` manifests.  Re-running the tuner on an unchanged
-repo replays every trial from the cache (the manifest classifies them
-``replayed``) and re-emits byte-identical schedule JSON.
+worker processes and cached on disk by content key.  Re-running the
+tuner on an unchanged repo replays every trial from the cache (zero
+misses) and re-emits byte-identical schedule JSON.
 
 Determinism contract: the candidate grid is a pure function of the
 configuration (priority-ordered, deduplicated, budget-truncated), the

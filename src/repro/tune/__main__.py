@@ -4,28 +4,27 @@ Usage::
 
     python -m repro.tune --size large --gpus 8          # tune one config
     python -m repro.tune --budget 12 --out schedule.json
-    python -m repro.tune --jobs 4 --save-manifest tune.manifest.json
-    python -m repro.tune --changed-only tune.manifest.json   # cache replay
+    python -m repro.tune --jobs 4 --cache-dir tune-cache
+    python -m repro.tune --cache-dir tune-cache   # rerun: cache replay
     python -m repro.tune --winloss-out BENCH_PR10.json  # win/loss table
 
 Trials run through the same :mod:`repro.perf` machinery as
-``repro.bench``: points fan out over ``--jobs`` processes, replay from
-the on-disk result cache, and a saved manifest lets a rerun on an
-unchanged repo classify every trial as ``replayed``.  The emitted
-schedule JSON is byte-stable (identical repo -> identical bytes), which
-CI asserts by tuning twice and ``cmp``-ing the files.
+``repro.bench``: points fan out over ``--jobs`` processes and replay
+from the on-disk result cache, so a rerun on an unchanged repo reports
+``0 miss(es)``.  The emitted schedule JSON is byte-stable (identical
+repo -> identical bytes), which CI asserts by tuning twice and
+``cmp``-ing the files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.bench.figures import DEFAULT_GPU_COUNTS, SIZE_CLASSES_2D
 from repro.cliutil import cli_entry
 from repro.obs.stablejson import dump_stable
-from repro.perf import ResultCache, SweepManifest, SweepRunner
+from repro.perf import ResultCache, SweepRunner
 from repro.perf.cache import DEFAULT_CACHE_DIR
 from repro.tune import schedule_payload, tune, win_loss_payload
 
@@ -61,32 +60,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="do not read or write the on-disk result cache")
     parser.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR,
                         help=f"result cache directory (default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--save-manifest", type=str, default=None, metavar="PATH",
-                        help="record every trial's cache key to PATH (the "
-                             "replay baseline for --changed-only); requires "
-                             "the cache")
-    parser.add_argument("--changed-only", type=str, default=None, metavar="PATH",
-                        help="compare each trial's cache key against the "
-                             "manifest at PATH: unchanged trials replay from "
-                             "the cache (tallies print to stdout); requires "
-                             "the cache")
     args = parser.parse_args(argv)
     if args.budget is not None and args.budget < 1:
         parser.error(f"--budget must be at least 1, got {args.budget}")
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if cache is None and (args.save_manifest or args.changed_only):
-        parser.error("--save-manifest/--changed-only need the result cache; "
-                     "drop --no-cache")
-    manifest = SweepManifest() if args.save_manifest else None
-    baseline = None
-    if args.changed_only:
-        try:
-            baseline = SweepManifest.load(args.changed_only)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"--changed-only: {exc}")
-    runner = SweepRunner(jobs=args.jobs, cache=cache, manifest=manifest,
-                         baseline=baseline)
+    runner = SweepRunner(jobs=args.jobs, cache=cache)
 
     result = tune(args.size, args.gpus, args.iterations,
                   budget=args.budget, runner=runner)
@@ -117,13 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     if cache is not None:
         print(f"(sweep cache: {runner.hits} hit(s), {runner.misses} miss(es) "
               f"in {args.cache_dir})")
-    if args.changed_only:
-        print(f"(changed-only vs {args.changed_only}: {runner.replayed} "
-              f"replayed, {runner.changed} changed, {runner.added} new, "
-              f"{runner.stale} stale)")
-    if args.save_manifest:
-        manifest.save(args.save_manifest)
-        print(f"({len(manifest)} point key(s) recorded to {args.save_manifest})")
     return 0
 
 

@@ -1,14 +1,10 @@
-"""Crash-safe persistence: cache integrity footers, quarantine,
-manifest checksums, and journal tolerance to torn writes."""
+"""Crash-safe persistence: cache integrity footers and quarantine."""
 
-import json
-import os
 import pickle
 
 import pytest
 
 from repro.perf.cache import ResultCache
-from repro.perf.manifest import SweepJournal, SweepManifest
 from repro.perf.sweep import SweepRunner
 
 
@@ -93,110 +89,3 @@ class TestCacheCorruption:
         cache.get(key)
         assert (cache.root / "quarantine" / f"{key}.pkl").read_bytes() == garbage
 
-
-class TestManifestChecksum:
-    def test_save_embeds_checksum(self, tmp_path):
-        path = tmp_path / "m.json"
-        manifest = SweepManifest({"id1": "key1"})
-        manifest.save(path)
-        data = json.loads(path.read_text())
-        assert "sha256" in data
-        assert SweepManifest.load(path).entries == {"id1": "key1"}
-
-    def test_tampered_points_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        SweepManifest({"id1": "key1"}).save(path)
-        data = json.loads(path.read_text())
-        data["points"]["id1"] = "key2"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="checksum mismatch"):
-            SweepManifest.load(path)
-
-    def test_legacy_manifest_without_checksum_loads(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "format": "repro-sweep-manifest-v1",
-            "points": {"id1": "key1"},
-        }))
-        assert SweepManifest.load(path).entries == {"id1": "key1"}
-
-    def test_save_is_atomic_no_tmp_left(self, tmp_path):
-        path = tmp_path / "m.json"
-        SweepManifest({"a": "b"}).save(path)
-        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
-
-
-class TestJournalTolerance:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("id1", "key1")
-        journal.append("id2", "key2")
-        journal.close()
-        manifest, corrupt = SweepJournal.load(path)
-        assert manifest.entries == {"id1": "key1", "id2": "key2"}
-        assert corrupt == []
-
-    def test_torn_tail_skipped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("id1", "key1")
-        journal.append("id2", "key2")
-        journal.close()
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
-        manifest, corrupt = SweepJournal.load(path)
-        assert manifest.entries == {"id1": "key1"}
-        assert corrupt == [(2, "unparseable JSON (torn line?)")]
-
-    def test_flipped_byte_skipped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("id1", "key1")
-        journal.close()
-        path.write_text(path.read_text().replace("key1", "keyX"))
-        manifest, corrupt = SweepJournal.load(path)
-        assert manifest.entries == {}
-        assert corrupt == [(1, "checksum mismatch")]
-
-    def test_foreign_lines_skipped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("id1", "key1")
-        journal.close()
-        with open(path, "a") as fh:
-            fh.write(json.dumps({"format": "something-else"}) + "\n")
-            fh.write("[1, 2, 3]\n")
-        manifest, corrupt = SweepJournal.load(path)
-        assert manifest.entries == {"id1": "key1"}
-        assert [r for _, r in corrupt] == ["not a journal record",
-                                           "not a journal record"]
-
-    def test_later_lines_win(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("id1", "old")
-        journal.append("id1", "new")
-        journal.close()
-        manifest, _ = SweepJournal.load(path)
-        assert manifest.entries == {"id1": "new"}
-
-    def test_runner_journals_as_points_complete(self, tmp_path, cache):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        runner = SweepRunner(cache=cache, journal=journal)
-        runner.map(_work, [(1,), (2,)])
-        journal.close()
-        manifest, corrupt = SweepJournal.load(path)
-        assert len(manifest) == 2 and not corrupt
-        # cache hits are journaled too (a resumed run re-journals)
-        journal2 = SweepJournal(path)
-        runner2 = SweepRunner(cache=cache, baseline=manifest,
-                              journal=journal2)
-        runner2.map(_work, [(1,), (2,)])
-        journal2.close()
-        assert runner2.replayed == 2
-
-    def test_journal_requires_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="ResultCache"):
-            SweepRunner(journal=SweepJournal(tmp_path / "j.jsonl"))

@@ -8,9 +8,19 @@ the figure report.
 import numpy as np
 
 from repro.bench.figures import _dace_1d_point, _stencil_point
-from repro.perf import ResultCache, SweepRunner, active_runner, use_runner
+from repro.perf import (
+    ResultCache,
+    SweepRunner,
+    active_runner,
+    point_identity,
+    use_runner,
+)
 from repro.perf.cache import source_digest
 from repro.stencil import StencilConfig
+
+
+def _square(x):
+    return x * x
 
 
 def _small_tasks():
@@ -58,14 +68,17 @@ class TestReportByteIdentity:
         assert main(["2.2", "--jobs", "4", "--no-cache", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_cached_report_byte_identical_to_fresh(self, tmp_path):
+    def test_cached_report_byte_identical_to_fresh(self, tmp_path, capsys):
         from repro.bench.__main__ import main
 
         cache = tmp_path / "cache"
         fresh, replay = tmp_path / "fresh.txt", tmp_path / "replay.txt"
         assert main(["2.2", "--cache-dir", str(cache), "--out", str(fresh)]) == 0
+        capsys.readouterr()
         assert main(["2.2", "--cache-dir", str(cache), "--out", str(replay)]) == 0
         assert fresh.read_bytes() == replay.read_bytes()
+        # the rerun replays every point: the same check CI runs
+        assert " 0 miss(es)" in capsys.readouterr().out
 
 
 class TestResultCache:
@@ -113,6 +126,31 @@ class TestResultCache:
         assert hit
         assert loaded["rows"] == value["rows"]
         np.testing.assert_array_equal(loaded["array"], value["array"])
+
+
+class TestProfileSink:
+    def test_computed_points_are_profiled(self, tmp_path):
+        sink = []
+        runner = SweepRunner(profile_sink=sink)
+        assert runner.map(_square, [(2,), (3,)]) == [4, 9]
+        assert [identity for identity, _ in sink] == \
+            [point_identity(_square, (2,)), point_identity(_square, (3,))]
+        assert "cumulative" in sink[0][1]
+
+    def test_cache_hits_are_not_profiled(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        SweepRunner(cache=cache).map(_square, [(2,)])
+        sink = []
+        SweepRunner(cache=cache, profile_sink=sink).map(_square, [(2,), (3,)])
+        assert [identity for identity, _ in sink] == [point_identity(_square, (3,))]
+
+    def test_profiling_forces_in_process_execution(self):
+        """jobs > 1 with a sink must still profile (profiles cannot
+        cross a process pool), so execution stays in-process."""
+        sink = []
+        runner = SweepRunner(jobs=4, profile_sink=sink)
+        assert runner.map(_square, [(1,), (2,), (3,)]) == [1, 4, 9]
+        assert len(sink) == 3
 
 
 class TestActiveRunner:

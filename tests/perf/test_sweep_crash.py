@@ -2,12 +2,13 @@
 
 import os
 import signal
+import time
 
 import pytest
 
 import repro.perf.sweep as sweep_mod
 from repro.perf.cache import ResultCache
-from repro.perf.manifest import SweepJournal
+from repro.obs.progress import ProgressSink
 from repro.perf.sweep import QuarantinedPoint, SweepRunner
 
 
@@ -67,18 +68,38 @@ class TestWorkerDeath:
                                                       tmp_path):
         """Worker death must not lose the points that already finished:
         they were stored as they completed, so a rerun replays them."""
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        runner = SweepRunner(jobs=2, cache=cache, journal=journal, retries=0)
+        runner = SweepRunner(jobs=2, cache=cache, retries=0)
         results = runner.map(_poison, [(1,), (2,), (3,), (4,), (5,)])
-        journal.close()
         assert isinstance(results[2], QuarantinedPoint)
-        manifest, corrupt = SweepJournal.load(tmp_path / "j.jsonl")
-        assert not corrupt
-        assert len(manifest) == 4  # everything but the poison point
-        rerun = SweepRunner(jobs=2, cache=cache, baseline=manifest, retries=0)
+        rerun = SweepRunner(jobs=2, cache=cache, retries=0)
         rerun_results = rerun.map(_poison, [(1,), (2,), (4,), (5,)])
         assert rerun_results == [10, 20, 40, 50]
         assert rerun.hits == 4 and rerun.misses == 0
+
+    def test_finished_points_stored_while_earlier_point_runs(
+            self, pool_path, cache, tmp_path):
+        """Pooled points are stored in completion order: point 1 is
+        cached and reported while point 0 is still running, so a parent
+        killed in that window loses only point 0."""
+        sentinel = tmp_path / "point1-finished"
+
+        class Release(ProgressSink):
+            def __init__(self):
+                self.cached_at_finish = None
+
+            def point_finished(self, index, identity, wall_s, result=None):
+                if index == 1:
+                    key = cache.key(_wait_for_sentinel, (str(sentinel), 1))
+                    self.cached_at_finish = cache.get(key)[0]
+                    sentinel.touch()
+
+        sink = Release()
+        runner = SweepRunner(jobs=2, cache=cache, progress=sink)
+        results = runner.map(_wait_for_sentinel,
+                             [(str(sentinel), i) for i in range(3)])
+        # point 0 saw the sentinel: point 1 finished before point 0 did
+        assert results == [(0, True), (1, True), (2, True)]
+        assert sink.cached_at_finish is True
 
     def test_worker_exception_still_propagates(self, pool_path):
         """Quarantine is for dead workers only: a worker that *raises*
@@ -91,3 +112,13 @@ class TestWorkerDeath:
 
 def _divzero(x):
     return 10 // x
+
+
+def _wait_for_sentinel(path, x):
+    """Point 0 waits (at most 10 s) for ``path`` to appear; the others
+    return at once.  Returns ``(x, whether path existed)``."""
+    if x == 0:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(path) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return x, x != 0 or os.path.exists(path)

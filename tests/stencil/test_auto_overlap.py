@@ -5,7 +5,7 @@ import pytest
 
 from repro.obs.stablejson import dumps_stable
 from repro.obs.timeline import pe_phases
-from repro.perf import ResultCache, SweepManifest, SweepRunner
+from repro.perf import ResultCache, SweepRunner
 from repro.stencil.base import VARIANTS, StencilConfig
 from repro.stencil.variants.auto_overlap import (
     CHUNK_CANDIDATES,
@@ -142,17 +142,15 @@ class TestTune:
 
     def test_cache_replay_and_byte_stable_schedule(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        manifest = SweepManifest()
         first = tune("small", 2, iterations=4, budget=6,
-                     runner=SweepRunner(cache=cache, manifest=manifest))
-        manifest.save(tmp_path / "m.json")
-        baseline = SweepManifest.load(tmp_path / "m.json")
-        replay_runner = SweepRunner(cache=cache, baseline=baseline)
+                     runner=SweepRunner(cache=cache))
+        replay_runner = SweepRunner(cache=cache)
         second = tune("small", 2, iterations=4, budget=6,
                       runner=replay_runner)
-        # >= 90% replayed is the acceptance bar; unchanged repo -> 100%
-        assert replay_runner.replayed == len(manifest)
-        assert replay_runner.changed == replay_runner.added == 0
+        # unchanged repo -> every trial, and the cpufree baseline
+        # point, replays from the cache
+        assert replay_runner.hits == len(second.trials) + 1
+        assert replay_runner.misses == 0
         assert dumps_stable(schedule_payload(first)) \
             == dumps_stable(schedule_payload(second))
 

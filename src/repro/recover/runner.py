@@ -236,7 +236,9 @@ def run_with_recovery(
     detect_latency_us = 0.0
     lost_time_us = 0.0
     iter_done = 0
-    last_instance = None
+    # the last clean segment's metrics registry and fault summary (the
+    # segment itself is released before the next one is built)
+    last_metrics = last_faults = None
     max_restarts = len(plan.crashes) + 2  # each crash fires at most once
 
     for seg_index, seg_iters in enumerate(segments):
@@ -301,8 +303,13 @@ def run_with_recovery(
                           "sim_time_us": base_us})
             attempt.update(status="ok", sim_time_us=res.total_time_us)
             attempts.append(attempt)
-            last_instance = instance
+            last_metrics = instance.ctx.metrics
+            last_faults = (instance.faults.summary()
+                           if instance.faults is not None else None)
             break
+        # Release this segment before the next is built: its context
+        # (heap, buffers, trace) is not needed past its checkpoint.
+        instance = manager = res = None
 
     outcome = RecoveryOutcome(
         variant=variant_cls.name,
@@ -316,12 +323,9 @@ def run_with_recovery(
         restarts=restarts,
         detect_latency_us=detect_latency_us,
         lost_time_us=lost_time_us,
-        faults=(last_instance.faults.summary()
-                if last_instance is not None and last_instance.faults is not None
-                else None),
+        faults=last_faults,
     )
-    if last_instance is not None:
-        _publish_metrics(last_instance.ctx.metrics, outcome)
+    _publish_metrics(last_metrics, outcome)
     return outcome
 
 

@@ -93,7 +93,7 @@ class MultiGPUContext:
         if key not in self._streams:
             if not 0 <= device < self.num_gpus:
                 raise ValueError(f"device {device} out of range")
-            self._streams[key] = Stream(self.sim, device, name)
+            self._streams[key] = Stream(self.sim, device, name, self.faults)
         return self._streams[key]
 
     def alloc(
@@ -204,20 +204,17 @@ class MultiGPUContext:
 
 class HostThread:
     """Host-side CUDA API surface for one rank.  All methods are
-    generator helpers to be ``yield from``-ed inside a host process."""
+    generator helpers to be ``yield from``-ed inside a host process.
+
+    Each charges its host API overhead inline (a ``Delay`` and an
+    ``api`` span on the host's lane) rather than through a shared
+    helper generator: the baselines issue these calls every iteration.
+    """
 
     def __init__(self, ctx: MultiGPUContext, rank: int) -> None:
         self.ctx = ctx
         self.rank = rank
         self.lane = f"host{rank}"
-
-    # -- internal ---------------------------------------------------------------
-
-    def _api(self, us: float, name: str) -> Generator[Any, Any, None]:
-        """Charge a host API overhead and trace it."""
-        start = self.ctx.sim.now
-        yield Delay(us)
-        self.ctx.trace(self.lane, name, "api", start, self.ctx.sim.now)
 
     # -- kernel launch -------------------------------------------------------------
 
@@ -233,12 +230,17 @@ class HostThread:
         cooperative kernels, and enqueues the body on ``stream``.
         Returns the kernel's completion :class:`Event`.
         """
-        cost = self.ctx.cost.kernel_launch_us
+        ctx = self.ctx
+        cost = ctx.cost.kernel_launch_us
         if spec.cooperative:
-            validate_cooperative_launch(self.ctx, spec)
-            cost += self.ctx.cost.cooperative_launch_extra_us
-        yield from self._api(cost, f"launch:{spec.name}")
-        dev = DeviceKernelContext(self.ctx, stream.device, spec, stream.lane)
+            validate_cooperative_launch(ctx, spec)
+            cost += ctx.cost.cooperative_launch_extra_us
+        sim = ctx.sim
+        start = sim.now
+        yield Delay(cost)
+        if ctx.tracer is not None:
+            ctx.tracer.record(self.lane, f"launch:{spec.name}", "api", start, sim.now)
+        dev = DeviceKernelContext(ctx, stream.device, spec, stream.lane)
         return stream.enqueue(lambda: body(dev), name=spec.name)
 
     # -- memory movement --------------------------------------------------------------
@@ -256,20 +258,30 @@ class HostThread:
         """``cudaMemcpyAsync``: host enqueues, the copy runs in-stream.
 
         Data actually moves (NumPy assignment) when the stream reaches
-        the copy, preserving in-order semantics.
+        the copy, preserving in-order semantics: the source is read and
+        the copy priced when it starts, the destination written when it
+        ends.
         """
-        yield from self._api(self.ctx.cost.memcpy_enqueue_us, f"memcpyAsync:{name}")
         ctx = self.ctx
+        sim = ctx.sim
+        tracer = ctx.tracer
+        start = sim.now
+        yield Delay(ctx.cost.memcpy_enqueue_us)
+        if tracer is not None:
+            tracer.record(self.lane, f"memcpyAsync:{name}", "api", start, sim.now)
+        values = None
 
-        def copy_work() -> Generator[Any, Any, None]:
+        def begin() -> Any:
+            nonlocal values
             values = np.array(src.data[src_index])
-            cost = ctx.topology.transfer_us(src.device, dst.device, values.nbytes)
-            start = ctx.sim.now
-            yield Delay(cost)
-            dst.data[dst_index] = values
-            ctx.trace(stream.lane, name, "comm", start, ctx.sim.now)
+            return ctx.topology.transfer_us(src.device, dst.device, values.nbytes)
 
-        return stream.enqueue(copy_work, name=name)
+        def end(begun: Any) -> None:
+            dst.data[dst_index] = values
+            if tracer is not None:
+                tracer.record(stream.lane, name, "comm", begun, sim.now)
+
+        return stream.enqueue_op(begin, end, name=name)
 
     def memcpy_async_modeled(
         self,
@@ -281,46 +293,78 @@ class HostThread:
         name: str = "memcpy",
     ) -> Generator[Any, Any, Event]:
         """Timing-only copy (no backing data) for no-compute experiments."""
-        yield from self._api(self.ctx.cost.memcpy_enqueue_us, f"memcpyAsync:{name}")
         ctx = self.ctx
+        sim = ctx.sim
+        tracer = ctx.tracer
+        start = sim.now
+        yield Delay(ctx.cost.memcpy_enqueue_us)
+        if tracer is not None:
+            tracer.record(self.lane, f"memcpyAsync:{name}", "api", start, sim.now)
 
-        def copy_work() -> Generator[Any, Any, None]:
-            cost = ctx.topology.transfer_us(src_device, dst_device, nbytes)
-            start = ctx.sim.now
-            yield Delay(cost)
-            ctx.trace(stream.lane, name, "comm", start, ctx.sim.now)
+        def begin() -> Any:
+            return ctx.topology.transfer_us(src_device, dst_device, nbytes)
 
-        return stream.enqueue(copy_work, name=name)
+        def end(begun: Any) -> None:
+            if tracer is not None:
+                tracer.record(stream.lane, name, "comm", begun, sim.now)
+
+        return stream.enqueue_op(begin, end, name=name)
 
     # -- synchronization ---------------------------------------------------------------
 
     def stream_sync(self, stream: Stream) -> Generator[Any, Any, None]:
         """``cudaStreamSynchronize``: block the host until drain."""
-        yield from self._api(self.ctx.cost.stream_sync_us, f"streamSync:{stream.name}")
-        start = self.ctx.sim.now
+        ctx = self.ctx
+        sim = ctx.sim
+        start = sim.now
+        yield Delay(ctx.cost.stream_sync_us)
+        if ctx.tracer is not None:
+            ctx.tracer.record(self.lane, f"streamSync:{stream.name}", "api", start, sim.now)
+        start = sim.now
         yield from stream.drained()
-        self.ctx.trace_wait(self.lane, f"wait:{stream.name}", start, self.ctx.sim.now)
+        ctx.trace_wait(self.lane, f"wait:{stream.name}", start, sim.now)
 
     def device_sync(self, device: int) -> Generator[Any, Any, None]:
         """``cudaDeviceSynchronize``: drain every stream of ``device``."""
-        yield from self._api(self.ctx.cost.stream_sync_us, "deviceSync")
-        for (dev, _), stream in sorted(self.ctx._streams.items()):
+        ctx = self.ctx
+        sim = ctx.sim
+        start = sim.now
+        yield Delay(ctx.cost.stream_sync_us)
+        if ctx.tracer is not None:
+            ctx.tracer.record(self.lane, "deviceSync", "api", start, sim.now)
+        for (dev, _), stream in sorted(ctx._streams.items()):
             if dev == device:
                 yield from stream.drained()
 
     def event_record(self, stream: Stream, name: str = "event") -> Generator[Any, Any, Event]:
         """``cudaEventRecord`` on ``stream``."""
-        yield from self._api(self.ctx.cost.event_record_us, f"eventRecord:{name}")
+        ctx = self.ctx
+        sim = ctx.sim
+        start = sim.now
+        yield Delay(ctx.cost.event_record_us)
+        if ctx.tracer is not None:
+            ctx.tracer.record(self.lane, f"eventRecord:{name}", "api", start, sim.now)
         return stream.record_event(name)
 
     def event_sync(self, event: Event) -> Generator[Any, Any, None]:
         """``cudaEventSynchronize``."""
-        yield from self._api(self.ctx.cost.event_sync_us, f"eventSync:{event.name}")
-        start = self.ctx.sim.now
+        ctx = self.ctx
+        sim = ctx.sim
+        start = sim.now
+        yield Delay(ctx.cost.event_sync_us)
+        if ctx.tracer is not None:
+            ctx.tracer.record(self.lane, f"eventSync:{event.name}", "api", start, sim.now)
+        start = sim.now
         yield from event.wait()
-        self.ctx.trace_wait(self.lane, f"wait:{event.name}", start, self.ctx.sim.now)
+        ctx.trace_wait(self.lane, f"wait:{event.name}", start, sim.now)
 
     def stream_wait_event(self, stream: Stream, event: Event) -> Generator[Any, Any, None]:
         """``cudaStreamWaitEvent``: device-side dependency, cheap for host."""
-        yield from self._api(self.ctx.cost.api_enqueue_us, f"streamWaitEvent:{event.name}")
+        ctx = self.ctx
+        sim = ctx.sim
+        start = sim.now
+        yield Delay(ctx.cost.api_enqueue_us)
+        if ctx.tracer is not None:
+            ctx.tracer.record(self.lane, f"streamWaitEvent:{event.name}", "api",
+                              start, sim.now)
         stream.wait_event(event)

@@ -121,9 +121,12 @@ class DeviceKernelContext:
 
     def busy(self, duration_us: float, name: str, category: str) -> Generator[Any, Any, None]:
         """Occupy simulated time and trace it on this kernel's lane."""
-        start = self.ctx.sim.now
+        ctx = self.ctx
+        sim = ctx.sim
+        start = sim.now
         yield Delay(duration_us)
-        self.ctx.trace(self.lane, name, category, start, self.ctx.sim.now)
+        if ctx.tracer is not None:
+            ctx.tracer.record(self.lane, name, category, start, sim.now)
 
     # -- device-initiated data movement (UVA peer load/store) -----------------
 

@@ -1,11 +1,13 @@
 """Deterministic discrete-event simulation (DES) engine.
 
-Every component of the multi-GPU model — host threads, CUDA streams,
-thread-block groups inside persistent kernels, interconnect transfers —
-is a :class:`~repro.sim.engine.Process`: a Python generator that yields
+Every acting component of the multi-GPU model — host threads, kernel
+launches, thread-block groups inside persistent kernels — is a
+:class:`~repro.sim.engine.Process`: a Python generator that yields
 *commands* (:class:`~repro.sim.engine.Delay`,
 :class:`~repro.sim.engine.WaitFlag`, ...) to the
-:class:`~repro.sim.engine.Simulator`.  The simulator advances virtual
+:class:`~repro.sim.engine.Simulator`.  Fixed-shape work (NVSHMEM
+delivery legs, stream copies and delays) runs as chains of engine
+callbacks (:meth:`~repro.sim.engine.Simulator.call_at`).  The simulator advances virtual
 time deterministically: identical inputs always produce identical
 simulated timelines, which is what makes the paper's latency-accounting
 experiments reproducible without real hardware.

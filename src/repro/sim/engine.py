@@ -57,9 +57,10 @@ The calendar also carries *callback events* (:meth:`Simulator.call_at`):
 bare functions run at a timestamp with no generator and no Process
 object.  The engine counts each one it dispatches like a process step
 (one event, one calendar or ready-queue pop).  Every NVSHMEM delivery
-leg is a short chain of such callbacks; while a leg applies its effects
-:attr:`Simulator.current` is the leg object, so the sanitizer attributes
-its stores and releases to the leg.
+leg and every stream copy or delay item is a short chain of such
+callbacks; while one applies its effects :attr:`Simulator.current` is
+the leg or item object, so the sanitizer attributes its stores and
+releases to it.
 
 ``WaitFlag`` predicates must be pure functions of the flag *value*:
 :meth:`Flag.set` skips waiter wakeup when the stored value does not
@@ -80,9 +81,13 @@ engine creates — process forks (``spawned``), flag mutations
 completion/joins (``finished``/``joined``).  The happens-before race
 detector in :mod:`repro.sanitize` is built entirely on these five
 callbacks; every higher-level primitive in this codebase (NVSHMEM
-signals and pending counters, grid/host barriers, stream chaining,
-MPI requests, local spin flags) synchronizes through :class:`Flag`,
-so the hooks cover them all uniformly.  Two deliberate subtleties: a
+signals and pending counters, grid/host barriers, stream item
+completion, MPI requests, local spin flags) synchronizes through
+:class:`Flag`, so the hooks cover them all uniformly.  Callback-driven
+work (NVSHMEM delivery legs, stream copy/delay items) passes its own
+object as the identity: it calls ``spawned`` when issued, ``acquired``
+for the flag it starts behind, and sets :attr:`Simulator.current` to
+itself while its callbacks apply effects.  Two deliberate subtleties: a
 no-op ``Flag.set`` (same value) releases nothing, matching the
 engine's wakeup semantics, and a :data:`TIMEOUT` resume acquires
 nothing — a timed-out waiter observed no release.
@@ -728,8 +733,8 @@ class Simulator:
         #: hang monitor installed via attach_watchdog (None = unmonitored)
         self.watchdog: Watchdog | None = None
         #: the process whose generator is currently stepping, or the
-        #: NVSHMEM delivery leg applying its effects (None in setup code
-        #: before run() and when a callback starts)
+        #: NVSHMEM delivery leg or stream item applying its effects
+        #: (None in setup code before run() and when a callback starts)
         self.current: Any = None
         #: synchronization observer (e.g. the repro.sanitize HB monitor);
         #: must expose spawned/released/acquired/finished/joined.  None
@@ -763,8 +768,11 @@ class Simulator:
 
     # -- process management -------------------------------------------------
 
-    def spawn(self, gen: Generator[Any, Any, Any], name: str = "proc") -> Process:
-        """Register ``gen`` as a process and schedule its first step now."""
+    def spawn(self, gen: Generator[Any, Any, Any], name: str = "proc",
+              at: Any = None) -> Process:
+        """Register ``gen`` as a process and schedule its first step at
+        ``at`` (default: now; batched runs pass a member-wise later
+        time whose pilot is now)."""
         if not isinstance(gen, Generator):
             raise TypeError(f"spawn() needs a generator, got {type(gen).__name__}")
         frame = sys._getframe(1)
@@ -773,7 +781,7 @@ class Simulator:
         self.n_spawned += 1
         if self.monitor is not None:
             self.monitor.spawned(proc, self.current)
-        self._push(self.now, proc, None)
+        self._push(self.now if at is None else at, proc, None)
         return proc
 
     def flag(self, value: int = 0, name: str = "flag") -> Flag:

@@ -35,7 +35,7 @@ from repro.sim.stacked import (
 from repro.sim.trace import Tracer, merge_intervals
 from repro.stencil.base import VARIANTS, StencilConfig, StencilResult
 
-__all__ = ["batch_stencil_config", "demux_tracer", "run_batched_stencil"]
+__all__ = ["batch_stencil_config", "demux_tracer", "joint_total", "run_batched_stencil"]
 
 
 def batch_stencil_config(configs: Sequence[StencilConfig]) -> StencilConfig:
@@ -121,6 +121,24 @@ def demux_tracer(tracer: Tracer, B: int) -> list[Tracer]:
     return outs
 
 
+def joint_total(ctx, total):
+    """Bound a batched run's final clock ``total`` by every member's
+    latest event.
+
+    The joint clock ends on the *pilot's* last event; another member's
+    latest event may sit elsewhere, so fold every process's finish time
+    and every stream's last completion (stream copies and delays are
+    callbacks, not processes).  Scalar runs: a no-op, the final clock
+    already bounds them.
+    """
+    for proc in ctx.sim._processes:
+        if proc._finish_time is not None:
+            total = emax(total, proc._finish_time)
+    for stream in ctx._streams.values():
+        total = emax(total, stream.done_at)
+    return total
+
+
 def run_batched_stencil(
     variant_name: str,
     configs: Sequence[StencilConfig],
@@ -183,14 +201,7 @@ def _run_batched_locked(
         for rank in range(cfg.num_gpus):
             sim.spawn(variant.host_program(rank),
                       name=f"{variant.name}.host{rank}")
-        total = variant.ctx.run()
-        # The joint clock ends on the *pilot's* last event; another
-        # member's latest event may sit elsewhere, so fold every
-        # process's finish time (scalar runs: a no-op, the final clock
-        # already bounds them).
-        for proc in sim._processes:
-            if proc._finish_time is not None:
-                total = emax(total, proc._finish_time)
+        total = joint_total(variant.ctx, variant.ctx.run())
         m = variant.ctx.metrics
         if m is not None:
             m.counter("stencil.runs", variant=variant_name).inc()

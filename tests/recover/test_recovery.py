@@ -160,6 +160,30 @@ class TestSegmentMemory:
                        if attempt["status"] == "ok")
 
 
+    def test_previous_segment_released_before_the_next_is_built(self, monkeypatch):
+        """Only one segment's context is alive at a time, so peak memory
+        is one context plus the checkpoints, not two contexts."""
+        cls = VARIANTS["cpufree"]
+        contexts = []
+        alive_at_build = []
+        original = cls.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in contexts))
+            original(self, *args, **kwargs)
+            contexts.append(weakref.ref(self.ctx))
+
+        monkeypatch.setattr(cls, "__init__", tracking_init)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = run_with_recovery(cls, _config(None), checkpoint_every=2)
+        finally:
+            gc.enable()
+        assert len(alive_at_build) == len(outcome.attempts) >= 3
+        assert alive_at_build == [0] * len(alive_at_build)
+
+
 class TestUnrecoverable:
     def test_no_checkpoints_raises_naming_dead_pe(self):
         # the `crash` profile has no checkpoint cadence: detection

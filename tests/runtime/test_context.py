@@ -257,3 +257,47 @@ class TestPeerOps:
         assert np.all(got[0] == 3.0)
         src.data[:] = 0.0
         assert np.all(got[0] == 3.0)  # a copy, not a view
+
+
+class TestCrossStreamEvents:
+    def test_event_record_then_stream_wait_event_orders_a_copy(self, ctx):
+        """Producer kernel, cudaEventRecord, cudaStreamWaitEvent on a
+        consumer stream that is still busy, then a copy on it: the copy
+        starts exactly when the producer kernel ends."""
+        host = ctx.host(0)
+        producer = ctx.stream(0, "prod")
+        consumer = ctx.stream(0, "cons")
+        src = ctx.alloc(0, "src", 1000, fill=1.0)
+        dst = ctx.alloc(1, "dst", 1000)
+        waited = []
+
+        def body(dev):
+            yield from dev.busy(20.0, "produce", "compute")
+            src.data[:] = 7.0
+
+        def host_proc():
+            consumer.enqueue_delay(5.0, name="busy")
+            yield from host.launch(producer, KernelSpec("producer", blocks=1), body)
+            ev = yield from host.event_record(producer, "produced")
+            assert not ev.complete
+            yield from host.stream_wait_event(consumer, ev)
+            assert not consumer.idle  # queued behind "busy"
+            yield from host.memcpy_async(consumer, dst, slice(None), src, slice(None),
+                                         name="copy")
+            yield from host.stream_sync(consumer)
+            waited.append(ctx.sim.now)
+
+        ctx.sim.spawn(host_proc(), name="host")
+        ctx.run()
+        (copy,) = [s for s in ctx.tracer.spans if s.name == "copy"]
+        (kernel,) = [s for s in ctx.tracer.spans if s.name == "produce"]
+        # launch 3.2 us + 20 us body; the copy's 8000 B then take 1.3267 us
+        assert kernel.end == pytest.approx(23.2, abs=1e-9)
+        assert copy.lane == "gpu0.cons"
+        assert copy.start == kernel.end
+        assert copy.end == pytest.approx(24.526666666666667, abs=1e-9)
+        assert np.all(dst.data == 7.0)  # read when the copy started
+        api = [s.name for s in ctx.tracer.spans_in("api", lane_prefix="host0")]
+        assert api[:4] == ["launch:producer", "eventRecord:produced",
+                           "streamWaitEvent:produced", "memcpyAsync:copy"]
+        assert waited[0] >= copy.end

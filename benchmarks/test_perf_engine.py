@@ -1,12 +1,11 @@
-"""Perf smoke benchmarks for the engine and executor hot paths.
+"""Perf smoke floors for the engine and executor hot paths.
 
-Unlike the figure benchmarks (which measure *simulated* microseconds),
-these measure the *host* throughput of the hot loops the fast paths
-target: simulator events per wall-clock second and executor stencil
-cells per wall-clock second.  Everything lands in
-``benchmark.extra_info`` so trajectories can be tracked across PRs
-(baseline numbers in BENCH_PR1.json; calendar-queue scheduler numbers
-in BENCH_PR5.json).
+Unlike the paper claims (which compare *simulated* microseconds),
+these time the *host* throughput of the hot loops with
+``time.perf_counter``: simulator events per wall-clock second and
+executor stencil cells per wall-clock second, each against a loose
+floor.  The benchmark harness (``benchmarks/harness``) tracks the same
+rates on the real workloads.
 
 Run with::
 
@@ -16,7 +15,6 @@ Run with::
 import time
 
 import numpy as np
-import pytest
 
 from repro.hw import HGX_A100_8GPU
 from repro.runtime import MultiGPUContext
@@ -72,72 +70,24 @@ def _executor_workload(n_global: int = 60_000, ranks: int = 2,
 
 
 class TestEngineThroughput:
-    def test_events_per_second(self, benchmark):
-        box = {}
-
-        def run():
-            box["wall"], box["events"] = _engine_workload()
-
-        benchmark.pedantic(run, rounds=1, iterations=1)
-        rate = box["events"] / box["wall"]
-        benchmark.extra_info["events_per_sec"] = round(rate)
-        benchmark.extra_info["events"] = box["events"]
+    def test_events_per_second(self):
+        wall, events = _engine_workload()
         # the pre-calendar-queue engine sustained ~320k events/s on this
         # workload shape, the bucketed scheduler >700k; loose floor so
         # CI noise cannot flake the smoke test
-        assert rate > 50_000
+        assert events / wall > 50_000
 
-    def test_events_per_second_indexed_waits(self, benchmark):
+    def test_events_per_second_indexed_waits(self):
         """Same chain workload with structured ``ge=`` waits: the
         scheduler wakes exactly the eligible waiters from the flag's
         threshold index instead of scanning predicates."""
-        box = {}
-
-        def run():
-            box["wall"], box["events"] = _engine_workload(indexed=True)
-
-        benchmark.pedantic(run, rounds=1, iterations=1)
-        rate = box["events"] / box["wall"]
-        benchmark.extra_info["events_per_sec"] = round(rate)
-        benchmark.extra_info["events"] = box["events"]
-        assert rate > 50_000
+        wall, events = _engine_workload(indexed=True)
+        assert events / wall > 50_000
 
 
 class TestExecutorThroughput:
-    def test_cells_per_second(self, benchmark):
-        box = {}
-
-        def run():
-            box["wall"], box["cells"] = _executor_workload()
-
-        benchmark.pedantic(run, rounds=1, iterations=1)
-        rate = box["cells"] / box["wall"]
-        benchmark.extra_info["cells_per_sec"] = round(rate)
-        benchmark.extra_info["cells"] = box["cells"]
+    def test_cells_per_second(self):
+        wall, cells = _executor_workload()
         # vectorized maps sustain well over 10M cells/s; the scalar
         # per-eval seed managed far less on large domains
-        assert rate > 1_000_000
-
-    @pytest.mark.parametrize("mode", ["vector", "scalar"])
-    def test_modes_agree_while_timed(self, benchmark, mode):
-        """Throughput of each mode on a small domain, recorded for the
-        trajectory; correctness equivalence is asserted in
-        tests/sdfg/test_fastpath.py."""
-        rng = np.random.default_rng(4)
-        n_global, ranks, tsteps = 2_000, 2, 6
-        u0 = rng.random(n_global + 2)
-        decomp = SlabDecomposition1D(n_global, ranks)
-        sdfg = cpufree_pipeline(build_jacobi_1d_sdfg(), CONJUGATES_1D)
-        ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(ranks), tracer=Tracer())
-        args = decomp.rank_args(u0, tsteps)
-        box = {}
-
-        def run():
-            started = time.perf_counter()
-            SDFGExecutor(sdfg, ctx, fastpath=mode).run(args)
-            box["wall"] = time.perf_counter() - started
-
-        benchmark.pedantic(run, rounds=1, iterations=1)
-        cells = 2 * (tsteps - 1) * n_global
-        benchmark.extra_info["cells_per_sec"] = round(cells / box["wall"])
-        benchmark.extra_info["mode"] = mode
+        assert cells / wall > 1_000_000

@@ -2,9 +2,9 @@
 
 :mod:`repro.bench.figures` holds the workload generators, parameter
 sweeps, and headline-metric computation for every evaluation figure
-(2.2, 6.1, 6.2, 6.3) plus the ablations DESIGN.md calls out;
-:mod:`repro.bench.report` renders them as the paper-style tables the
-``benchmarks/`` pytest targets print.
+(2.2, 6.1, 6.2, 6.3); :mod:`repro.bench.report` renders them as
+paper-style tables; :mod:`repro.bench.paper` states every paper claim
+and design ablation as one banded table.
 """
 
 from repro.bench.figures import (

@@ -127,7 +127,8 @@ def main(argv: list[str] | None = None) -> int:
                              "with its variants and sweep-point count, "
                              "without running anything")
     parser.add_argument("--paper", action="store_true",
-                        help="evaluate every paper claim and print the verdict table")
+                        help="evaluate every paper claim, print the verdict "
+                             "table, and exit 1 if any claim misses its band")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for sweep points (default: 1)")
     parser.add_argument("--no-cache", action="store_true",
@@ -181,12 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.paper:
         from repro.bench.paper import evaluate_claims, render_claims
 
-        report = render_claims(evaluate_claims())
+        results = evaluate_claims()
+        report = render_claims(results)
         print(report)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(report)
-        return 0
+        return 0 if all(r.ok for r in results) else 1
 
     all_figures = {**FIGURES, **EXTRA_FIGURES}
     selected = args.figures or sorted(FIGURES)

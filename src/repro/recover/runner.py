@@ -101,7 +101,6 @@ class RecoveryManager:
         #: heap) so heartbeats never leak into heap checkpoints
         self.signals = SignalArray(self.sim, "recover.heartbeat", n, 1)
         self.beats = [0] * n
-        self.detected: list[PECrashDetected] = []
         if self.faults is not None and plan.crashes:
             self.faults.on_crash(self._on_crash)
         for pe in range(n):
@@ -128,8 +127,6 @@ class RecoveryManager:
         self.sim.call_at(detect_t, lambda: self._detect(pe, crash_t, detect_t))
 
     def _detect(self, pe: int, crash_t: float, detect_t: float) -> None:
-        exc = PECrashDetected(pe, crash_t, detect_t)
-        self.detected.append(exc)
         tracer = self.tracer
         if tracer is not None:
             tracer.add_instant(
@@ -137,7 +134,7 @@ class RecoveryManager:
                 args={"pe": pe, "crash_t_us": crash_t,
                       "latency_us": detect_t - crash_t,
                       "heartbeats": self.beats[pe]})
-        raise exc
+        raise PECrashDetected(pe, crash_t, detect_t)
 
 
 @dataclass
@@ -262,6 +259,8 @@ def run_with_recovery(
                         f"pe{exc.pe} crashed and the restart budget "
                         f"({max_restarts}) is exhausted; dead PEs so far: "
                         f"{sorted(crashed_pes)}") from exc
+                # the crashed segment is discarded: release it now
+                instance.ctx.abandon()
                 consumed.add(exc.pe)
                 if instance.faults is not None:
                     consumed.update(instance.faults.crashed)

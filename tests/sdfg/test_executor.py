@@ -115,6 +115,24 @@ class TestJacobi2D:
         _, _, base = run_2d("baseline", ranks=4, tsteps=10)
         assert base.comm_time_us + base.api_time_us + base.sync_time_us > 0.5 * base.total_time_us
 
+    @pytest.mark.parametrize("options, seed, tsteps", [
+        ({"nbi": False}, 11, 4),             # §5.3.2 blocking puts
+        ({"specialize_comm": True}, 5, 5),   # §5.4 TB-specialized kernel
+    ])
+    def test_pipeline_options_bit_equal_to_default(self, options, seed, tsteps):
+        """The blocking-put and TB-specialized expansions change timing
+        only: their arrays equal the default CPU-Free pipeline's."""
+        gy, gx, ranks = 16, 24, 8
+        u0 = np.random.default_rng(seed).random((gy + 2, gx + 2))
+        decomp = GridDecomposition2D(gy, gx, ranks)
+        results = []
+        for opts in ({}, options):
+            sdfg = cpufree_pipeline(build_jacobi_2d_sdfg(), CONJUGATES_2D, **opts)
+            ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(ranks), tracer=Tracer())
+            report = SDFGExecutor(sdfg, ctx).run(decomp.rank_args(u0, tsteps))
+            results.append(decomp.gather(report.arrays, u0))
+        np.testing.assert_array_equal(*results)
+
 
 class TestTimingOnlyMode:
     def test_same_time_without_data(self):

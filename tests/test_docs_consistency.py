@@ -12,11 +12,13 @@ def read(name: str) -> str:
 
 
 def test_design_bench_targets_exist():
-    design = read("DESIGN.md")
-    targets = set(re.findall(r"benchmarks/(\w+\.py)", design))
-    assert targets, "DESIGN.md should reference benchmark files"
-    for target in targets:
-        assert (ROOT / "benchmarks" / target).exists(), target
+    """Every experiment DESIGN.md indexes cites rows of the claims table."""
+    from repro.bench.paper import PAPER_CLAIMS
+
+    cited = set(re.findall(r"`claim:([\w.-]+)`", read("DESIGN.md")))
+    assert cited, "DESIGN.md should cite claim rows"
+    assert cited <= {claim.key for claim in PAPER_CLAIMS}, \
+        sorted(cited - {claim.key for claim in PAPER_CLAIMS})
 
 
 def test_design_test_targets_exist():

@@ -196,6 +196,11 @@ class Stream:
         tail = self._tail
         yield WaitFlag(tail, ge=1)
 
+    def abandon(self) -> None:
+        """Drop the running and queued items of a run that stopped
+        mid-flight; each holds its stream through its closure."""
+        self._running = self._last = None
+
     # -- internals --------------------------------------------------------
 
     def _submit(self, item: _Item) -> Event:

@@ -512,7 +512,7 @@ def _run_dace(build, pipeline_args, decomp_args, ranks: int,
     # hit/miss metrics) must happen freshly per point, so runs are
     # byte-identical whether the template was warm or cold.  Tasklet
     # *compiles* still amortize through the content-keyed code cache
-    # in repro.sdfg.codegen.fastpath, which is metric-invisible.
+    # in repro.sdfg.codegen.executor, which is metric-invisible.
     sdfg = warm.warm(
         ("dace-sdfg", build.__module__, build.__qualname__, kind),
         lambda: _pipelined_sdfg(build, kind, conjugates),

@@ -14,7 +14,7 @@ metrics are then byte-identical whether the template was warm or cold,
 and identical at any ``--jobs`` setting (worker processes simply start
 with a cold store).  What *is* shared safely behind the copy are
 process-wide immutable caches keyed by content — e.g. the tasklet
-compile cache in :mod:`repro.sdfg.codegen.fastpath`.
+compile cache in :mod:`repro.sdfg.codegen.executor`.
 """
 
 from __future__ import annotations

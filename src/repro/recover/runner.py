@@ -89,20 +89,23 @@ class RecoveryManager:
     """
 
     def __init__(self, instance: Any, plan: FaultPlan) -> None:
-        # not the instance: the injector keeps this manager's crash
-        # handler, and that cycle would hold a finished segment's heap
+        # neither the instance nor the injector: the injector keeps this
+        # manager's crash handler, and that cycle would hold a finished
+        # segment's heap, simulator and trace
         self.tracer = instance.tracer
         self.plan = plan
         self.sim = instance.ctx.sim
-        self.faults = instance.faults
+        faults = instance.faults
+        #: pe -> crash time, the injector's own record (empty without one)
+        self.crashed = faults.crashed if faults is not None else {}
         n = instance.config.num_gpus
         self.heartbeat_us = plan.heartbeat_us
         #: one signal word per PE; standalone (not on the symmetric
         #: heap) so heartbeats never leak into heap checkpoints
         self.signals = SignalArray(self.sim, "recover.heartbeat", n, 1)
         self.beats = [0] * n
-        if self.faults is not None and plan.crashes:
-            self.faults.on_crash(self._on_crash)
+        if faults is not None and plan.crashes:
+            faults.on_crash(self._on_crash)
         for pe in range(n):
             self._arm_pump(pe)
 
@@ -111,7 +114,7 @@ class RecoveryManager:
                          lambda: self._pump(pe), weak=True)
 
     def _pump(self, pe: int) -> None:
-        if self.faults is not None and pe in self.faults.crashed:
+        if pe in self.crashed:
             return  # dead PEs stop beating — that IS the detection signal
         self.beats[pe] += 1
         self.signals.flag(pe, 0).add(1)
@@ -305,6 +308,7 @@ def run_with_recovery(
             last_metrics = instance.ctx.metrics
             last_faults = (instance.faults.summary()
                            if instance.faults is not None else None)
+            instance.ctx.abandon()
             break
         # Release this segment before the next is built: its context
         # (heap, buffers, trace) is not needed past its checkpoint.

@@ -37,33 +37,34 @@ class RacyUnsignaled(CPUFree):
 
     name = "racy_unsignaled"
 
-    def _boundary_body(self, rank: int, side: str, plan):
+    def _boundary_body(self, rank: int, sides: tuple[str, ...], plan):
         neighbors = self.neighbors(rank)
-        nbr = neighbors.get(side)
+        steps = [(side, neighbors.get(side), self.boundary_layer(rank, side))
+                 for side in sides]
 
         def body(dev: DeviceKernelContext, grid: GridBarrier) -> Generator[Any, Any, None]:
             nv = self.nvshmem.device(rank, lane=dev.lane)
-            layer = self.boundary_layer(rank, side)
             for it in range(1, self.config.iterations + 1):
-                # BUG (deliberate): no signal_wait_until — the halo read
-                # below may see a stale or in-flight layer
-                yield from self.compute_layers(
-                    dev, rank, it, layer, layer + 1,
-                    fraction_of_device=plan.boundary_fraction_per_side,
-                    name=f"boundary_{side}",
-                )
-                if nbr is not None:
-                    dst = self.sym[self.write_parity(it)] if self.config.with_data else None
-                    # BUG (deliberate): unsignaled put — the destination
-                    # halo is read next iteration with no ordering edge
-                    yield from nv.putmem_nbi(
-                        dst,
-                        self.halo_layer(nbr, self.opposite(side)),
-                        self.boundary_values(rank, it, side),
-                        dest_pe=nbr,
-                        nbytes=self.halo_nbytes,
-                        name=f"halo_{side}",
+                for side, nbr, layer in steps:
+                    # BUG (deliberate): no signal_wait_until — the halo read
+                    # below may see a stale or in-flight layer
+                    yield from self.compute_layers(
+                        dev, rank, it, layer, layer + 1,
+                        fraction_of_device=plan.boundary_fraction_per_side,
+                        name=f"boundary_{side}",
                     )
+                    if nbr is not None:
+                        dst = self.sym[self.write_parity(it)] if self.config.with_data else None
+                        # BUG (deliberate): unsignaled put — the destination
+                        # halo is read next iteration with no ordering edge
+                        yield from nv.putmem_nbi(
+                            dst,
+                            self.halo_layer(nbr, self.opposite(side)),
+                            self.boundary_values(rank, it, side),
+                            dest_pe=nbr,
+                            nbytes=self.halo_nbytes,
+                            name=f"halo_{side}",
+                        )
                 yield from grid.wait()
 
         return body

@@ -3,7 +3,10 @@
 The executor is the "runtime" half of code generation.  Like the
 emitted CUDA/C++, it decides each shape-driven lowering once: a rank
 *binds* a state on first reaching it (peers, byte counts, index tuples,
-expansions), and one walker runs the bound operations.
+expansions), and one walker runs the bound operations.  A compute
+state's tasklets run the way the generated kernel covers its map: each
+is one NumPy expression over the whole output subset, compiled once per
+distinct source.
 
 Discrete mode (states scheduled ``GPU_DEVICE``) reproduces the DaCe
 baseline of Fig. 5.1: per iteration, one kernel launch per compute
@@ -26,16 +29,16 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.core import LocalSpinFlag, TBGroup, launch_persistent
 from repro.nvshmem import NVSHMEMRuntime, WaitCond
 from repro.nvshmem.device import Scope
+from repro.obs.metrics import active_metrics
 from repro.runtime import Communicator, MultiGPUContext, VectorType
 from repro.runtime.kernel import KernelSpec
-from repro.sdfg.codegen.fastpath import FASTPATH_MODES, bound_counter, plan_state
 from repro.sdfg.graph import LoopRegion, SDFG, Schedule, State
 from repro.sdfg.libnodes.mpi import MPI_PROC_NULL, MPIBarrier, MPIIrecv, MPIIsend, MPIWaitall
 from repro.sdfg.libnodes.nvshmem import PutmemSignal, SignalWait
@@ -92,6 +95,57 @@ class _RankState:
 #: barrier and NVSHMEM handle
 _Device = namedtuple("_Device", "dev grid nv")
 
+#: compiled tasklet expressions, shared across executors (keyed by source)
+_CODE_CACHE: dict[str, Any] = {}
+_EVAL_GLOBALS: dict[str, Any] = {"__builtins__": {}, "np": np}
+
+
+def _compiled(source: str):
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        code = _CODE_CACHE[source] = compile(source, "<tasklet>", "eval")
+    return code
+
+
+def plan_state(state: State) -> tuple:
+    """Get-or-build ``state``'s tasklet plan: one (output memlet,
+    compiled expression) pair per tasklet, cached on the state."""
+    plan = getattr(state, "_tasklet_plan", None)
+    m = active_metrics()
+    if plan is None:
+        if m is not None:
+            m.counter("sdfg.fastpath.plan_cache", outcome="miss").inc()
+        plan = state._tasklet_plan = tuple(
+            (next(e.memlet for e in state.edges
+                  if isinstance(e.dst, AccessNode) and e.memlet is not None
+                  and e.memlet.data == t.output),
+             _compiled(t.expr_source))
+            for t in state.tasklets)
+    elif m is not None:
+        m.counter("sdfg.fastpath.plan_cache", outcome="hit").inc()
+    return plan
+
+
+def _no_count() -> None:
+    pass
+
+
+def bound_counter(name: str, **labels: Any) -> Callable[[], None]:
+    """``inc()`` of one counter in the active registry, bound once.  The
+    series is created on the first call, so a bound operation that never
+    runs leaves no zero row in the metrics dump."""
+    m = active_metrics()
+    if m is None:
+        return _no_count
+    handle = None
+
+    def inc() -> None:
+        nonlocal handle
+        if handle is None:
+            handle = m.counter(name, **labels)
+        handle.inc()
+    return inc
+
 
 class SDFGExecutor:
     """Runs one SDFG SPMD across the node's GPUs, once: the simulator
@@ -109,14 +163,10 @@ class SDFGExecutor:
         self.sdfg = sdfg
         self.ctx = ctx
         self.with_data = with_data
-        #: tasklet execution mode: ``"vector"`` (specialized maps run as
-        #: single NumPy slice expressions) or ``"scalar"`` (codegen-faithful
-        #: per-element loop).  Only data-carrying runs (``with_data``)
-        #: execute tasklets, so timing-only runs ignore it.  See
-        #: :mod:`repro.sdfg.codegen.fastpath`.
-        if fastpath not in FASTPATH_MODES:
-            raise ValueError(f"unknown fastpath mode {fastpath!r}")
-        self.fastpath = fastpath
+        # Tasklets have one execution path; the keyword stays for callers
+        # that still name it.
+        if fastpath != "vector":
+            raise ValueError(f"unknown fastpath mode {fastpath!r}: only 'vector' exists")
         #: issuing-group scope for generated puts.  THREAD reproduces
         #: §5.3.2's single-thread scheduling; BLOCK models the §5.4
         #: future-work cooperative scheduling (ablation benchmarks).
@@ -326,12 +376,13 @@ class SDFGExecutor:
                 volume += edge.memlet.volume(shape, bindings)
         volume, name = max(1, volume), state.name
         if self.with_data:
-            # Compiled fast path: tasklets are planned once per state (code
-            # objects + map specialization); the rank resolves its output
-            # slices once and replays them on every execution.
-            tasklets = plan_state(state, self.sdfg).bind(rs.arrays, bindings,
-                                                         mode=self.fastpath)
+            # Tasklets are compiled once per state; the rank resolves its
+            # output slices once and replays them on every execution.
+            arrays = rs.arrays
+            writes = tuple((memlet.data, memlet.resolve(arrays[memlet.data].shape, bindings),
+                            code) for memlet, code in plan_state(state))
             hit = bound_counter("sdfg.fastpath.plan_cache", outcome="hit")
+            executed = bound_counter("sdfg.fastpath.map_exec")
         first = True  # plan_state() counted the first execution's plan fetch
 
         def kernel(dev, bindings: dict[str, int]):
@@ -341,7 +392,10 @@ class SDFGExecutor:
                 if not first:
                     hit()
                 first = False
-                tasklets(bindings)
+                namespace = {**arrays, **bindings}
+                for data, index, code in writes:
+                    arrays[data][index] = eval(code, _EVAL_GLOBALS, namespace)  # noqa: S307
+                    executed()
         if self.persistent:
             return lambda device, bindings: kernel(device.dev, bindings)
         spec = KernelSpec(name, blocks=max(1, -(-volume // 1024)))

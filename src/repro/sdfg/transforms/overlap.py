@@ -19,14 +19,14 @@ closes it:
    know the chunks write *disjoint* row blocks (no grid-wide barrier
    between them, no src-reuse hazard against the eager puts).
 
-Only maps the affine fastpath can vectorize are tiled ("tileable"):
-the rewrite must rebuild each tasklet's expression with shifted slice
-bounds, and that is exactly the expression subset
-:mod:`repro.sdfg.codegen.fastpath` proves affine.  Anything else —
-calls, whole-array reads, partial indexing — raises
-:class:`OverlapTransformError` (``non-tileable``) instead of silently
-passing, and SDFGs with communication-lint findings are refused
-outright: only race-free programs are rewritten.
+Only affine maps are tiled ("tileable"): the rewrite must rebuild each
+tasklet's expression with shifted slice bounds, so the expression may
+hold only arithmetic over symbols, numeric literals and array
+subscripts with affine slice bounds (:class:`_ChunkRewriter` is that
+whitelist).  Anything else — calls, whole-array reads, partial
+indexing — raises :class:`OverlapTransformError` (``non-tileable``)
+instead of silently passing, and SDFGs with communication-lint findings
+are refused outright: only race-free programs are rewritten.
 
 Symbolic bound comparisons use probe evaluation: both expressions are
 evaluated under several fixed valuations of their symbols.  The bound
@@ -176,8 +176,9 @@ class _ChunkRewriter(ast.NodeTransformer):
     A subscript reading ``X[s:e, ...]`` with offset ``d = s - a``
     becomes ``X[lo+d : hi+d, ...]``; fixed-row reads (``X[5, ...]``)
     are chunk-invariant and pass through.  Collects the chunk's read
-    memlets as a side effect.  Anything outside the affine subset the
-    fastpath vectorizes raises :class:`_NotTileable`.
+    memlets as a side effect.  Anything outside the affine subset
+    (arithmetic over symbols, numeric literals and full-rank array
+    subscripts) raises :class:`_NotTileable`.
     """
 
     def __init__(self, sdfg: SDFG, symbols: set[str], a: Expr, b: Expr,
@@ -190,7 +191,7 @@ class _ChunkRewriter(ast.NodeTransformer):
         self.hi = hi
         self.reads: list[Memlet] = []
 
-    # structural whitelist (mirrors fastpath._Rewriter) ------------------
+    # structural whitelist ------------------------------------------------
 
     def visit_Expression(self, node):  # noqa: N802
         return ast.Expression(body=self.visit(node.body))
@@ -398,8 +399,7 @@ def _find_candidate(sdfg: SDFG, loop: LoopRegion, index: int,
         except _NotTileable as exc:
             raise OverlapTransformError(
                 f"map in state {state.name!r} is non-tileable: {exc} "
-                f"(only affine maps the fastpath vectorizes can be "
-                f"auto-overlapped)") from None
+                f"(only affine maps can be auto-overlapped)") from None
         except SyntaxError as exc:  # pragma: no cover - corrupt IR
             raise OverlapTransformError(
                 f"map in state {state.name!r} is non-tileable: {exc}") from None

@@ -909,6 +909,18 @@ class Simulator:
         self._n_dead += 1
         return True
 
+    def abandon(self) -> None:
+        """Drop the pending events, the process table and the hang
+        monitor of a run that is over.  Each reaches back to this
+        simulator (a process through ``sim``, a callback or a watchdog
+        context provider through its closure), so the run would
+        otherwise live until the cycle collector runs."""
+        self._times.clear()
+        self._buckets.clear()
+        self._ready.clear()
+        self._processes = []
+        self.current = self.watchdog = None
+
     def kill_matching(self, predicate: Callable[[Process], bool]) -> list[Process]:
         """Kill every live process whose name/state matches, in spawn
         order (deterministic).  Returns the killed processes."""

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core import GridBarrier, SpecializationPlan, TBGroup, launch_persistent, plan_blocks
-from repro.nvshmem import WaitCond
 from repro.stencil.base import StencilConfig, register_variant
 from repro.stencil.grid import SlabDecomposition
 from repro.stencil.variants.cpufree import CPUFree
-from repro.stencil.variants.nvshmem_discrete import SIGNAL_INDEX
 
 __all__ = ["AutoOverlap", "OverlapSchedule", "choose_schedule", "CHUNK_CANDIDATES"]
 
@@ -185,49 +183,6 @@ class AutoOverlap(CPUFree):
 
         return body
 
-    # -- optional fused boundary group ----------------------------------------
-
-    def _fused_boundary_body(self, rank: int, plan):
-        """One TB group playing both side roles, sequentially per
-        iteration.  Deadlock-free: the wait at iteration ``it`` is
-        satisfied by the neighbor's iteration-``it-1`` put (flags start
-        at 1), so no intra-iteration circular dependency exists.
-        """
-        neighbors = self.neighbors(rank)
-
-        def body(dev, grid: GridBarrier) -> Generator[Any, Any, None]:
-            nv = self.nvshmem.device(rank, lane=dev.lane)
-            for it in range(1, self.config.iterations + 1):
-                for side in ("top", "bottom"):
-                    nbr = neighbors.get(side)
-                    layer = self.boundary_layer(rank, side)
-                    if nbr is not None:
-                        yield from nv.signal_wait_until(
-                            self.signals, SIGNAL_INDEX[side], WaitCond.GE, it
-                        )
-                    yield from self.compute_layers(
-                        dev, rank, it, layer, layer + 1,
-                        fraction_of_device=plan.boundary_fraction_per_side,
-                        name=f"boundary_{side}",
-                    )
-                    if nbr is not None:
-                        dst = (self.sym[self.write_parity(it)]
-                               if self.config.with_data else None)
-                        yield from nv.putmem_signal_nbi(
-                            dst,
-                            self.halo_layer(nbr, self.opposite(side)),
-                            self.boundary_values(rank, it, side),
-                            self.signals,
-                            SIGNAL_INDEX[self.opposite(side)],
-                            it + 1,
-                            dest_pe=nbr,
-                            nbytes=self.halo_nbytes,
-                            name=f"halo_{side}",
-                        )
-                yield from grid.wait()
-
-        return body
-
     def host_program(self, rank: int) -> Generator[Any, Any, None]:
         if not self.schedule.fuse_boundary:
             yield from super().host_program(rank)
@@ -235,9 +190,13 @@ class AutoOverlap(CPUFree):
         host = self.ctx.host(rank)
         stream = self.ctx.stream(rank, "stream")
         plan = self.specialization(rank)
+        # One TB group plays both side roles, sequentially per iteration.
+        # Deadlock-free: the wait at iteration ``it`` is satisfied by the
+        # neighbor's iteration-``it-1`` put (flags start at 1), so no
+        # intra-iteration circular dependency exists.
         groups = [
             TBGroup("comm", plan.boundary_tb_per_side,
-                    self._fused_boundary_body(rank, plan)),
+                    self._boundary_body(rank, ("top", "bottom"), plan)),
             TBGroup("inner", plan.inner_tb, self._inner_body(rank, plan)),
         ]
         kernel = yield from launch_persistent(

@@ -51,39 +51,43 @@ class CPUFree(StencilVariant):
 
     # -- TB group bodies ------------------------------------------------------
 
-    def _boundary_body(self, rank: int, side: str, plan):
+    def _boundary_body(self, rank: int, sides: tuple[str, ...], plan):
+        """A boundary TB group: every iteration, each of ``sides`` in turn
+        waits for its neighbor's halo, computes its boundary layer and
+        puts that layer into the neighbor's halo."""
         neighbors = self.neighbors(rank)
-        nbr = neighbors.get(side)
+        steps = [(side, neighbors.get(side), self.boundary_layer(rank, side))
+                 for side in sides]
 
         def body(dev: DeviceKernelContext, grid: GridBarrier) -> Generator[Any, Any, None]:
             nv = self.nvshmem.device(rank, lane=dev.lane)
-            layer = self.boundary_layer(rank, side)
             for it in range(1, self.config.iterations + 1):
-                if nbr is not None:
-                    # ① wait for the neighbor's iteration-(it-1) halo
-                    yield from nv.signal_wait_until(
-                        self.signals, SIGNAL_INDEX[side], WaitCond.GE, it
+                for side, nbr, layer in steps:
+                    if nbr is not None:
+                        # ① wait for the neighbor's iteration-(it-1) halo
+                        yield from nv.signal_wait_until(
+                            self.signals, SIGNAL_INDEX[side], WaitCond.GE, it
+                        )
+                    # ② compute this side's boundary layer
+                    yield from self.compute_layers(
+                        dev, rank, it, layer, layer + 1,
+                        fraction_of_device=plan.boundary_fraction_per_side,
+                        name=f"boundary_{side}",
                     )
-                # ② compute this side's boundary layer
-                yield from self.compute_layers(
-                    dev, rank, it, layer, layer + 1,
-                    fraction_of_device=plan.boundary_fraction_per_side,
-                    name=f"boundary_{side}",
-                )
-                if nbr is not None:
-                    # ③+④ write the neighbor's halo and signal it
-                    dst = self.sym[self.write_parity(it)] if self.config.with_data else None
-                    yield from nv.putmem_signal_nbi(
-                        dst,
-                        self.halo_layer(nbr, self.opposite(side)),
-                        self.boundary_values(rank, it, side),
-                        self.signals,
-                        SIGNAL_INDEX[self.opposite(side)],
-                        it + 1,
-                        dest_pe=nbr,
-                        nbytes=self.halo_nbytes,
-                        name=f"halo_{side}",
-                    )
+                    if nbr is not None:
+                        # ③+④ write the neighbor's halo and signal it
+                        dst = self.sym[self.write_parity(it)] if self.config.with_data else None
+                        yield from nv.putmem_signal_nbi(
+                            dst,
+                            self.halo_layer(nbr, self.opposite(side)),
+                            self.boundary_values(rank, it, side),
+                            self.signals,
+                            SIGNAL_INDEX[self.opposite(side)],
+                            it + 1,
+                            dest_pe=nbr,
+                            nbytes=self.halo_nbytes,
+                            name=f"halo_{side}",
+                        )
                 # ⑤ synchronize all TBs before the next time step
                 yield from grid.wait()
 
@@ -114,9 +118,9 @@ class CPUFree(StencilVariant):
         plan = self.specialization(rank)
         groups = [
             TBGroup("comm_top", plan.boundary_tb_per_side,
-                    self._boundary_body(rank, "top", plan)),
+                    self._boundary_body(rank, ("top",), plan)),
             TBGroup("comm_bottom", plan.boundary_tb_per_side,
-                    self._boundary_body(rank, "bottom", plan)),
+                    self._boundary_body(rank, ("bottom",), plan)),
             TBGroup("inner", plan.inner_tb, self._inner_body(rank, plan)),
         ]
         kernel = yield from launch_persistent(

@@ -145,11 +145,9 @@ class TestWaitTimeout:
 
 
 class TestSDFGFastpathWatchdog:
-    """The watchdog contract holds through the SDFG executor too, under
-    both the vectorized map fastpath and the scalar fallback."""
+    """The watchdog contract holds through the SDFG executor too."""
 
-    @pytest.mark.parametrize("fastpath", ["vector", "scalar"])
-    def test_lost_signal_diagnostic(self, fastpath):
+    def test_lost_signal_diagnostic(self):
         from repro.hw import HGX_A100_8GPU
         from repro.runtime import MultiGPUContext
         from repro.sdfg.codegen import SDFGExecutor
@@ -168,7 +166,7 @@ class TestSDFGFastpathWatchdog:
         ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(2), tracer=Tracer(),
                               faults=get_injector("lost_signal"))
         with pytest.raises(WatchdogError) as err:
-            SDFGExecutor(sdfg, ctx, fastpath=fastpath).run(args)
+            SDFGExecutor(sdfg, ctx).run(args)
         message = str(err.value)
         assert "sdfg_flags" in message
         assert "last delivery attempt" in message

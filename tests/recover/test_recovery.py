@@ -135,30 +135,32 @@ class TestSegmentMemory:
     @pytest.mark.parametrize("profile, every", [(None, 2), ("crash_recover", None)])
     def test_clean_segments_free_without_the_cycle_collector(self, monkeypatch,
                                                              profile, every):
-        """A finished segment's context (its heap, buffers and trace),
-        clean or crashed, goes as soon as the next segment replaces it,
-        so peak memory does not depend on when the cycle collector last
-        ran."""
+        """A finished segment's context, simulator and tracer (its heap,
+        buffers, calendar and trace rows), clean or crashed, go as soon
+        as the next segment replaces it, so peak memory does not depend
+        on when the cycle collector last ran."""
         cls = VARIANTS["cpufree"]
-        contexts = []
+        segments = []
         original = cls.__init__
 
         def tracking_init(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            contexts.append(weakref.ref(self.ctx))
+            segments.append({"ctx": weakref.ref(self.ctx),
+                             "sim": weakref.ref(self.ctx.sim),
+                             "tracer": weakref.ref(self.ctx.tracer)})
 
         monkeypatch.setattr(cls, "__init__", tracking_init)
         gc.collect()
         gc.disable()
         try:
             outcome = run_with_recovery(cls, _config(profile), checkpoint_every=every)
-            alive = [ref() is not None for ref in contexts]
+            alive = [sorted(k for k, ref in refs.items() if ref() is not None)
+                     for refs in segments]
         finally:
             gc.enable()
         attempts = outcome.attempts
         assert len(alive) == len(attempts) >= 3
-        assert not any(alive[:-1]), [a["status"] for a in attempts]
-
+        assert alive[:-1] == [[]] * (len(alive) - 1), [a["status"] for a in attempts]
 
     def test_previous_segment_released_before_the_next_is_built(self, monkeypatch):
         """Only one segment's context is alive at a time, so peak memory

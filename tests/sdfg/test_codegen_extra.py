@@ -135,7 +135,7 @@ def test_loop_dependent_memlets_rebind_every_iteration(schedule):
     with use_metrics(registry):
         report = SDFGExecutor(sdfg, ctx).run([{"A": np.ones(7), "N": 7, "TSTEPS": 7}])
     np.testing.assert_array_equal(report.arrays[0]["A"], np.arange(1.0, 8.0))
-    assert registry.value("sdfg.fastpath.map_exec", mode="generic") == 6
+    assert registry.value("sdfg.fastpath.map_exec") == 6
     assert registry.value("sdfg.fastpath.plan_cache", outcome="miss") == 1
     assert registry.value("sdfg.fastpath.plan_cache", outcome="hit") == 5
 

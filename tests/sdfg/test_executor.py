@@ -34,6 +34,22 @@ def ref_2d(u0, tsteps):
     return A
 
 
+def ref_3d(u0, tsteps):
+    A, B = np.array(u0), np.array(u0)
+    for _ in range(1, tsteps):
+        B[1:-1, 1:-1, 1:-1] = (
+            A[:-2, 1:-1, 1:-1] + A[2:, 1:-1, 1:-1]
+            + A[1:-1, :-2, 1:-1] + A[1:-1, 2:, 1:-1]
+            + A[1:-1, 1:-1, :-2] + A[1:-1, 1:-1, 2:]
+        ) / 6.0
+        A[1:-1, 1:-1, 1:-1] = (
+            B[:-2, 1:-1, 1:-1] + B[2:, 1:-1, 1:-1]
+            + B[1:-1, :-2, 1:-1] + B[1:-1, 2:, 1:-1]
+            + B[1:-1, 1:-1, :-2] + B[1:-1, 1:-1, 2:]
+        ) / 6.0
+    return A
+
+
 def run_1d(pipeline_kind, n_global=24, ranks=3, tsteps=6):
     rng = np.random.default_rng(7)
     u0 = rng.random(n_global + 2)

@@ -18,22 +18,7 @@ from repro.sdfg.programs import (
     cpufree_pipeline,
 )
 from repro.sim import Tracer
-
-
-def ref_3d(u0, tsteps):
-    A, B = np.array(u0), np.array(u0)
-    for _ in range(1, tsteps):
-        B[1:-1, 1:-1, 1:-1] = (
-            A[:-2, 1:-1, 1:-1] + A[2:, 1:-1, 1:-1]
-            + A[1:-1, :-2, 1:-1] + A[1:-1, 2:, 1:-1]
-            + A[1:-1, 1:-1, :-2] + A[1:-1, 1:-1, 2:]
-        ) / 6.0
-        A[1:-1, 1:-1, 1:-1] = (
-            B[:-2, 1:-1, 1:-1] + B[2:, 1:-1, 1:-1]
-            + B[1:-1, :-2, 1:-1] + B[1:-1, 2:, 1:-1]
-            + B[1:-1, 1:-1, :-2] + B[1:-1, 1:-1, 2:]
-        ) / 6.0
-    return A
+from tests.sdfg.test_executor import ref_3d
 
 
 def run(kind, nz=12, m=8, ranks=3, tsteps=4):

@@ -314,8 +314,8 @@ class TestAutoOverlap:
         validate(sdfg)
 
     def test_non_tileable_map_refused_with_named_error(self):
-        """No-op guarantee: a map the fastpath cannot vectorize is
-        refused loudly, never silently rewritten."""
+        """No-op guarantee: a map outside the affine subset is refused
+        loudly, never silently rewritten."""
 
         @program
         def clamped(A: float64[N], B: float64[N],

@@ -8,6 +8,7 @@ Usage::
     python -m repro.bench --jobs 4        # fan sweep points out over processes
     python -m repro.bench --no-cache      # force recomputation
     python -m repro.bench --profile       # cProfile the run (implies --jobs 1)
+    python -m repro.bench --paper         # the report, then the paper-claim verdict
 
 Sweep points run through :mod:`repro.perf`: independent figure
 configurations fan out over worker processes (``--jobs``) and replay
@@ -17,7 +18,9 @@ rerunning with the same ``--cache-dir`` after a finished or killed
 run replays every finished point and computes only the rest.  The
 report body is byte-identical at any ``--jobs`` setting and on replay;
 wall-clock timings and cache statistics print to stdout only, never
-into ``--out``.
+into ``--out``.  ``--paper`` appends the verdict of
+:mod:`repro.bench.paper` to the same report, read from the figures it
+just rendered, and exits 1 on a miss.
 """
 
 from __future__ import annotations
@@ -127,8 +130,10 @@ def main(argv: list[str] | None = None) -> int:
                              "with its variants and sweep-point count, "
                              "without running anything")
     parser.add_argument("--paper", action="store_true",
-                        help="evaluate every paper claim, print the verdict "
-                             "table, and exit 1 if any claim misses its band")
+                        help="after the default figure report, evaluate every "
+                             "paper claim on its figures plus the ablation "
+                             "runs, append the verdict table, and exit 1 if "
+                             "any claim misses its band")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for sweep points (default: 1)")
     parser.add_argument("--no-cache", action="store_true",
@@ -179,17 +184,10 @@ def main(argv: list[str] | None = None) -> int:
         print(_list_figures())
         return 0
 
-    if args.paper:
-        from repro.bench.paper import evaluate_claims, render_claims
-
-        results = evaluate_claims()
-        report = render_claims(results)
-        print(report)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(report)
-        return 0 if all(r.ok for r in results) else 1
-
+    if args.paper and args.figures:
+        parser.error("--paper reads the default figure set; name no figures")
+    if args.paper and args.fault_profile is not None:
+        parser.error("--paper checks the clean run; drop --fault-profile")
     all_figures = {**FIGURES, **EXTRA_FIGURES}
     selected = args.figures or sorted(FIGURES)
     unknown = [f for f in selected if f not in all_figures]
@@ -240,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
 
     registry = MetricsRegistry() if args.metrics_out else None
     sections: list[str] = []
+    figures: dict[str, list] = {}
     timings: list[tuple[str, float]] = []
     if args.fault_profile is not None:
         # the header is part of the report body so a faulted report can
@@ -256,13 +255,22 @@ def main(argv: list[str] | None = None) -> int:
             profiler.enable()
         for figure_id in selected:
             started = time.perf_counter()
-            for fig in all_figures[figure_id]():
+            figures[figure_id] = all_figures[figure_id]()
+            for fig in figures[figure_id]:
                 sections.append(render_figure(fig))
                 sections.append("")
             timings.append((figure_id, time.perf_counter() - started))
         if profiler is not None:
             profiler.disable()
 
+    results = None
+    if args.paper:
+        from repro.bench.paper import evaluate_claims, render_claims
+
+        # outside the runner and the registry: the ablation runs are
+        # not sweep points, so they neither hit the cache nor add metrics
+        results = evaluate_claims(figures)
+        sections += [render_claims(results), ""]
     report = "\n".join(sections)
     print(report)
     # timing / cache lines go to stdout only: the report body must stay
@@ -312,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.metrics_out, "w") as fh:
             fh.write(registry.to_json())
         print(f"({len(registry)} metric series written to {args.metrics_out})")
-    return 0
+    return 0 if results is None or all(r.ok for r in results) else 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.bench.figures import FigureData
@@ -31,6 +32,12 @@ def history_fields(result: Any) -> dict[str, Any]:
     if isinstance(x, int):
         fields["gpus"] = x
     return fields
+
+
+def _headline(value: float) -> str:
+    """At least four significant digits, and never fewer than one decimal."""
+    magnitude = math.floor(math.log10(abs(value))) if value else 0
+    return f"{value:.{max(1, 3 - magnitude)}f}"
 
 
 def render_figure(fig: FigureData) -> str:
@@ -65,5 +72,5 @@ def render_figure(fig: FigureData) -> str:
     if fig.headlines:
         lines.append("headlines:")
         for key, value in fig.headlines.items():
-            lines.append(f"  {key} = {value:.1f}")
+            lines.append(f"  {key} = {_headline(value)}")
     return "\n".join(lines)

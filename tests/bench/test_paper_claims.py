@@ -1,30 +1,52 @@
 """The reproduction contract, as a test: every quantitative claim in
 the paper's evaluation and every design ablation reproduces within its
-acceptance band — the same table ``python -m repro.bench --paper``
-prints and exits on."""
+acceptance band.
+
+The module runs ``python -m repro.bench --paper --no-cache --jobs 1``
+once: the report part of its output must equal the committed golden,
+and every test below reads the verdict of that one pass."""
 
 import math
+import pathlib
 
 import pytest
 
+from repro.bench import __main__ as bench_cli
 from repro.bench import paper
 from repro.bench.__main__ import main
-from repro.bench.paper import PAPER_CLAIMS, Claim, evaluate_claims, render_claims
+from repro.bench.paper import PAPER_CLAIMS, Claim, ClaimResult, render_claims
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden" / "bench_report.md"
 
 
 @pytest.fixture(scope="module")
-def experiments():
-    """Run the experiments once; every test below, the CLI included,
-    evaluates the table against this one dict."""
-    computed = paper._experiments()
+def paper_pass(tmp_path_factory):
+    """One ``--paper`` pass; records the figures, ablations and results
+    it evaluated next to its exit code and ``--out`` text."""
+    seen = {}
+    evaluate, ablations = paper.evaluate_claims, paper._ablations
+
+    def recording_evaluate(figures):
+        seen["figures"] = figures
+        seen["results"] = evaluate(figures)
+        return seen["results"]
+
+    def recording_ablations():
+        seen["ablations"] = ablations()
+        return seen["ablations"]
+
+    out = tmp_path_factory.mktemp("paper") / "paper.md"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paper, "_experiments", lambda: computed)
-        yield computed
+        mp.setattr(paper, "evaluate_claims", recording_evaluate)
+        mp.setattr(paper, "_ablations", recording_ablations)
+        seen["exit"] = main(["--paper", "--no-cache", "--jobs", "1", "--out", str(out)])
+    seen["text"] = out.read_text()
+    return seen
 
 
 @pytest.fixture(scope="module")
-def results(experiments):
-    return evaluate_claims()
+def results(paper_pass):
+    return paper_pass["results"]
 
 
 def test_every_paper_claim_within_band(results):
@@ -51,21 +73,60 @@ def test_render_mentions_verdicts(results):
     assert "—" in text
 
 
-def test_cli_paper_flag(experiments, tmp_path):
-    out_file = tmp_path / "claims.txt"
-    assert main(["--paper", "--out", str(out_file)]) == 0
-    text = out_file.read_text()
-    assert "paper claims reproduced within band" in text
-    assert "verdict" in text
+def test_render_flags_rows_on_a_band_edge():
+    on_edge = ClaimResult(Claim("edge", "X", "sits on hi", 96.0, "%", 90.0, 100.0,
+                                lambda f: 0.0), 100.0)
+    inside = ClaimResult(Claim("inside", "X", "clear of both", None, "x", 1.0, math.inf,
+                               lambda f: 0.0), 3.5)
+    assert (on_edge.margin, inside.margin) == (0.0, 2.5)
+    lines = render_claims([on_edge, inside]).splitlines()
+    assert "0.000!" in lines[2] and "+4.00" in lines[2]
+    assert "2.500 " in lines[3]
+    assert lines[-1] == "on a band edge (!): edge"
 
 
-def test_cli_paper_flag_exits_1_on_a_miss(monkeypatch, tmp_path, capsys):
+def test_cli_paper_flag(paper_pass):
+    """The report part of ``--out`` is the golden, byte for byte; the
+    verdict follows it."""
+    assert paper_pass["exit"] == 0
+    text = paper_pass["text"]
+    golden = GOLDEN.read_text()
+    assert text.startswith(golden)
+    verdict = text[len(golden):]
+    assert "verdict" in verdict
+    assert "paper claims reproduced within band" in verdict
+
+
+def test_cli_paper_flag_exits_1_on_a_miss(paper_pass, monkeypatch, tmp_path, capsys):
+    """Replays the module pass's figures and ablations, so no simulation
+    runs here."""
     impossible = Claim("impossible", "6.1", "a band nothing can meet", None, "x",
                        1.0, 2.0, lambda f: 0.0)
-    monkeypatch.setattr(paper, "_experiments", dict)
+    monkeypatch.setattr(bench_cli, "FIGURES", {
+        key: (lambda figs=figs: figs) for key, figs in paper_pass["figures"].items()})
+    monkeypatch.setattr(paper, "_ablations", lambda: paper_pass["ablations"])
     monkeypatch.setattr(paper, "PAPER_CLAIMS", (impossible,))
-    assert main(["--paper", "--out", str(tmp_path / "claims.txt")]) == 1
+    assert main(["--paper", "--no-cache", "--out", str(tmp_path / "claims.txt")]) == 1
     assert "MISS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [["6.1"], ["--fault-profile", "transient"]])
+def test_cli_paper_rejects_figures_and_fault_profiles(extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["--paper", "--no-cache", *extra])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["2.2b-comm-fraction", "6.3b-comm-fraction",
+                                 "cg-device-idle"])
+def test_no_share_row_can_pass_100(results, key):
+    """A share above 100% is a miss, never a pass: the band stops at 100
+    and the measured share sits inside it."""
+    (result,) = [r for r in results if r.claim.key == key]
+    assert result.claim.hi == 100.0
+    assert 0.0 <= result.measured <= 100.0
+    overshoot = ClaimResult(result.claim, 100.5)
+    assert not overshoot.ok
 
 
 def test_bands_contain_paper_values():

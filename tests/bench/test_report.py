@@ -36,8 +36,16 @@ def test_gpu_columns_sorted():
 
 
 def test_headlines_formatting():
+    """At least four significant digits, never fewer than one decimal."""
     fig = FigureData("X", "h", [Row("a", 1, 1.0)],
-                     headlines={"alpha_%": 1.0, "beta_%": -2.34})
-    text = render_figure(fig)
-    assert "alpha_% = 1.0" in text
-    assert "beta_% = -2.3" in text
+                     headlines={"alpha_%": 1.0, "beta_%": -2.34, "fraction": 0.98317,
+                                "zero": 0.0, "growth_%": 387.2208, "big": 12345.67})
+    lines = render_figure(fig).splitlines()
+    assert lines[lines.index("headlines:") + 1:] == [
+        "  alpha_% = 1.000",
+        "  beta_% = -2.340",
+        "  fraction = 0.9832",
+        "  zero = 0.000",
+        "  growth_% = 387.2",
+        "  big = 12345.7",
+    ]

@@ -125,10 +125,12 @@ def run_cell(
     try:
         result = instance.run()
     except (WatchdogError, SignalWaitTimeout) as exc:
+        instance.ctx.sim.close()
         cell["status"] = "diagnostic"
         cell["error"] = str(exc).splitlines()[0] + dead_pes(instance.faults)
         cell["ok"] = expect == "diagnostic"
     except DeadlockError as exc:
+        instance.ctx.sim.close()
         if plan.crashes and instance.faults is not None and instance.faults.crashed:
             # a dead PE strands joiners with no watched flag in sight:
             # the deadlock IS the crash diagnostic
@@ -139,6 +141,7 @@ def run_cell(
             cell["status"] = "failed"
             cell["error"] = str(exc).splitlines()[0]
     except DeliveryError as exc:
+        instance.ctx.sim.close()
         cell["status"] = "failed"
         cell["error"] = str(exc).splitlines()[0]
     else:

@@ -22,6 +22,7 @@ import hashlib
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from repro.faults.plan import DeliveryFault, FaultPlan, LinkFault
 from repro.hw.interconnect import Link
@@ -138,10 +139,13 @@ class FaultInjector:
                 self._metrics.gauge("faults.straggler_scale", pe=str(s.pe)).set(s.compute_scale)
             ctx.add_metric_flusher(self.flush_metrics)
         if self.plan.watchdog_budget_us is not None:
+            # The simulator owns its watchdog, so the providers read the
+            # injector's records, never the injector (which holds the
+            # simulator).
             watchdog = Watchdog(self.plan.watchdog_budget_us, name=self.plan.name)
-            watchdog.add_context(self.watchdog_context)
+            watchdog.add_context(partial(_attempt_context, self.last_attempt))
             if self.plan.crashes:
-                watchdog.add_context(self.crash_context)
+                watchdog.add_context(partial(_crash_context, self.crashed))
             ctx.sim.attach_watchdog(watchdog)
         if self.plan.crashes:
             base_us, consumed = _CRASH_CONTEXT
@@ -393,26 +397,11 @@ class FaultInjector:
         for handler in list(self._crash_handlers):
             handler(pe, t)
 
-    def crash_context(self, flag: Flag) -> str | None:
-        """Watchdog context provider: name PEs that died fail-stop, so
-        a post-crash hang diagnoses as a crash, not a mystery."""
-        if not self.crashed:
-            return None
-        dead = ", ".join(f"pe{pe} crashed fail-stop at t={t:.3f}us"
-                         for pe, t in sorted(self.crashed.items()))
-        return f"dead PEs: {dead}"
-
     # -- diagnostics ----------------------------------------------------------
 
-    def watchdog_context(self, flag: Flag) -> str | None:
-        """Watchdog context provider: last delivery attempt that
-        targeted the stuck signal."""
-        record = self.last_attempt.get(flag.name)
-        if record is None:
-            return f"no delivery attempt recorded for {flag.name}"
-        t, src, outcome, attempt = record
-        return (f"last delivery attempt for {flag.name}: from pe{src} at "
-                f"t={t:.3f}us — {outcome} (attempt {attempt + 1})")
+    def watchdog_context(self, flag: Flag) -> str:
+        """The last delivery attempt that targeted ``flag``."""
+        return _attempt_context(self.last_attempt, flag)
 
     def summary(self) -> dict:
         """Deterministic JSON-ready digest of everything injected."""
@@ -432,3 +421,24 @@ class FaultInjector:
             "degraded_puts": self.total_degraded_puts,
             "crashed_pes": {str(pe): t for pe, t in sorted(self.crashed.items())},
         }
+
+
+def _attempt_context(last_attempt: dict, flag: Flag) -> str:
+    """Watchdog context provider: last delivery attempt that targeted
+    the stuck signal."""
+    record = last_attempt.get(flag.name)
+    if record is None:
+        return f"no delivery attempt recorded for {flag.name}"
+    t, src, outcome, attempt = record
+    return (f"last delivery attempt for {flag.name}: from pe{src} at "
+            f"t={t:.3f}us — {outcome} (attempt {attempt + 1})")
+
+
+def _crash_context(crashed: dict, flag: Flag) -> str | None:
+    """Watchdog context provider: name PEs that died fail-stop, so a
+    post-crash hang diagnoses as a crash, not a mystery."""
+    if not crashed:
+        return None
+    dead = ", ".join(f"pe{pe} crashed fail-stop at t={t:.3f}us"
+                     for pe, t in sorted(crashed.items()))
+    return f"dead PEs: {dead}"

@@ -54,6 +54,7 @@ from repro.sim.trace import (
     merge_intervals,
     overlap_length,
     pe_of_lane,
+    time_ruler,
 )
 
 __all__ = [
@@ -245,7 +246,7 @@ def render_gantt(spans: Iterable[Span], width: int = 80) -> str:
                 mask[i] = True
 
     label_width = max(len(f"pe{pe}") for pe in phases)
-    rows = [_gantt_ruler(t0, t1, width, label_width)]
+    rows = [time_ruler(t0, t1, width, label_width)]
     for pe in sorted(phases):
         entry = phases[pe]
         compute = [False] * width
@@ -276,16 +277,3 @@ def render_gantt(spans: Iterable[Span], width: int = 80) -> str:
                 f"| sync   . host   (space) idle")
     return "\n".join(rows)
 
-
-def _gantt_ruler(t0: float, t1: float, width: int, label_width: int) -> str:
-    ticks = [0, (width - 1) // 4, (width - 1) // 2, 3 * (width - 1) // 4, width - 1]
-    ruler = ["-"] * width
-    for tick in ticks:
-        ruler[tick] = "+"
-    labels = [" "] * width
-    for tick in ticks:
-        text = f"{t0 + (t1 - t0) * tick / max(1, width - 1):.1f}"
-        at = min(tick, width - len(text))
-        labels[at:at + len(text)] = text
-    return (f"{'':>{label_width}}  {''.join(labels)}\n"
-            f"{'t (us)':>{label_width}} |{''.join(ruler)}|")

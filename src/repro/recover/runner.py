@@ -262,8 +262,8 @@ def run_with_recovery(
                         f"pe{exc.pe} crashed and the restart budget "
                         f"({max_restarts}) is exhausted; dead PEs so far: "
                         f"{sorted(crashed_pes)}") from exc
-                # the crashed segment is discarded: release it now
-                instance.ctx.abandon()
+                # the crashed segment is discarded: end its run
+                instance.ctx.sim.close()
                 consumed.add(exc.pe)
                 if instance.faults is not None:
                     consumed.update(instance.faults.crashed)
@@ -308,7 +308,6 @@ def run_with_recovery(
             last_metrics = instance.ctx.metrics
             last_faults = (instance.faults.summary()
                            if instance.faults is not None else None)
-            instance.ctx.abandon()
             break
         # Release this segment before the next is built: its context
         # (heap, buffers, trace) is not needed past its checkpoint.
@@ -341,6 +340,7 @@ def _run_unrecoverable(variant_cls: type, config: Any,
     try:
         res = instance.run()
     except PECrashDetected as exc:
+        instance.ctx.sim.close()
         raise UnrecoverableCrashError(
             f"pe{exc.pe} crashed fail-stop at t={exc.crash_t:.3f}us and no "
             f"checkpoint exists (checkpointing disabled) — cannot recover; "

@@ -153,19 +153,6 @@ class MultiGPUContext:
         self._publish_engine_metrics()
         return total
 
-    def abandon(self) -> None:
-        """Drop the work a run left behind: every stream's queued items
-        and the simulator's pending events and processes.
-
-        Each reaches back to its stream or simulator, so after a run
-        that is over (a recovery segment, clean or crashed) the context,
-        its simulator and its trace would otherwise live until the cycle
-        collector runs.
-        """
-        for stream in self._streams.values():
-            stream.abandon()
-        self.sim.abandon()
-
     def _publish_engine_metrics(self) -> None:
         """Fold the engine's plain-int counters into the registry.
 

@@ -34,6 +34,7 @@ streams) can wait on it, mirroring ``cudaEventRecord`` /
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Generator
 from typing import Any
 
@@ -67,17 +68,19 @@ class _Item:
     Exactly one of ``work`` (a generator factory: a process item) and
     ``begin`` (a callback returning the duration: an op item) is set.
     While an op item's callbacks run, :attr:`Simulator.current` is the
-    item itself.
+    item itself.  An item does not point at its stream: until it
+    starts, the stream's queue holds it; once started, only its engine
+    process or pending callback does, so an item that never completes
+    goes with its simulator's run.
     """
 
-    __slots__ = ("stream", "name", "work", "begin", "end", "done", "prev",
-                 "next", "enqueued", "start")
+    __slots__ = ("name", "work", "begin", "end", "done", "prev", "enqueued",
+                 "start")
 
     def __init__(self, stream: "Stream", name: str,
                  work: Callable[[], Generator[Any, Any, Any]] | None,
                  begin: Callable[[], Any] | None,
                  end: Callable[[Any], None] | None) -> None:
-        self.stream = stream
         self.name = name
         self.work = work
         self.begin = begin
@@ -85,43 +88,8 @@ class _Item:
         self.done = Flag(stream.sim, 0, name=f"{stream.lane}.{name}.done")
         #: the predecessor's completion flag (acquired when this starts)
         self.prev = stream._tail
-        #: the item enqueued right after this one (the stream's FIFO)
-        self.next: _Item | None = None
         self.enqueued = stream.sim.now
         self.start: Any = None
-
-    def run(self) -> Generator[Any, Any, None]:
-        """Body of a process item's engine process."""
-        sim = self.stream.sim
-        monitor = sim.monitor
-        if monitor is not None:
-            monitor.acquired(self, self.prev)
-            # the process continues the item's clock
-            monitor.joined(sim.current, self)
-        yield from self.work()
-        self.stream._complete(self)
-
-    def on_begin(self) -> None:
-        stream = self.stream
-        if stream.faults is not None and stream.device in stream.faults.crashed:
-            return  # fail-stop: the device died
-        sim = stream.sim
-        sim.current = self
-        if sim.monitor is not None:
-            sim.monitor.acquired(self, self.prev)
-        now = self.start = sim.now
-        dt = self.begin()
-        sim.call_at(now + dt if dt.__class__ is float else as_time(now, dt),
-                    self.on_end)
-
-    def on_end(self) -> None:
-        stream = self.stream
-        if stream.faults is not None and stream.device in stream.faults.crashed:
-            return
-        stream.sim.current = self
-        if self.end is not None:
-            self.end(self.start)
-        stream._complete(self)
 
 
 class Stream:
@@ -143,11 +111,10 @@ class Stream:
         self.lane = f"gpu{device}.{name}"
         # Tail = completion flag of the most recently enqueued item.
         self._tail = Flag(sim, 1, name=f"{self.lane}.origin")
-        #: the started, not yet completed item (None: idle); the items
-        #: queued behind it hang off its ``next`` links
-        self._running: _Item | None = None
-        #: the most recently enqueued item, while one is pending
-        self._last: _Item | None = None
+        #: an item has started and not yet completed
+        self._busy = False
+        #: the items enqueued behind it, not yet started
+        self._queue: deque[_Item] = deque()
         #: sim time the most recent item completed
         self.done_at: Any = 0.0
 
@@ -196,11 +163,6 @@ class Stream:
         tail = self._tail
         yield WaitFlag(tail, ge=1)
 
-    def abandon(self) -> None:
-        """Drop the running and queued items of a run that stopped
-        mid-flight; each holds its stream through its closure."""
-        self._running = self._last = None
-
     # -- internals --------------------------------------------------------
 
     def _submit(self, item: _Item) -> Event:
@@ -208,31 +170,62 @@ class Stream:
         self._tail = item.done
         if sim.monitor is not None:
             sim.monitor.spawned(item, sim.current)
-        if self._running is None:
-            self._start(item)
+        if self._busy:
+            self._queue.append(item)
         else:
-            self._last.next = item
-        self._last = item
+            self._start(item)
         return Event(item.done, name=item.name)
 
     def _start(self, item: _Item) -> None:
         """Schedule ``item``'s first step one engine hop from now."""
-        self._running = item
+        self._busy = True
         # Called at the enqueue (idle stream) or at the predecessor's
         # completion, so in scalar runs this max is now.  Batched runs:
         # a member whose enqueue or predecessor came later starts there.
         at = emax(item.enqueued, self.done_at)
         if item.work is not None:
-            self.sim.spawn(item.run(), name=f"{self.lane}.{item.name}", at=at)
+            self.sim.spawn(self._run(item), name=f"{self.lane}.{item.name}", at=at)
         else:
-            self.sim.call_at(at, item.on_begin)
+            self.sim.call_at(at, lambda: self._begin(item))
+
+    def _run(self, item: _Item) -> Generator[Any, Any, None]:
+        """Body of a process item's engine process."""
+        sim = self.sim
+        monitor = sim.monitor
+        if monitor is not None:
+            monitor.acquired(item, item.prev)
+            # the process continues the item's clock
+            monitor.joined(sim.current, item)
+        yield from item.work()
+        self._complete(item)
+
+    def _begin(self, item: _Item) -> None:
+        """First callback of an op item: price it, schedule its end."""
+        if self.faults is not None and self.device in self.faults.crashed:
+            return  # fail-stop: the device died
+        sim = self.sim
+        sim.current = item
+        if sim.monitor is not None:
+            sim.monitor.acquired(item, item.prev)
+        now = item.start = sim.now
+        dt = item.begin()
+        sim.call_at(now + dt if dt.__class__ is float else as_time(now, dt),
+                    lambda: self._end(item))
+
+    def _end(self, item: _Item) -> None:
+        if self.faults is not None and self.device in self.faults.crashed:
+            return
+        self.sim.current = item
+        if item.end is not None:
+            item.end(item.start)
+        self._complete(item)
 
     def _complete(self, item: _Item) -> None:
         """Start the next item, then publish ``item``'s completion (the
         next item is scheduled ahead of the completion's waiters)."""
         self.done_at = self.sim.now
-        if item.next is not None:
-            self._start(item.next)
+        if self._queue:
+            self._start(self._queue.popleft())
         else:
-            self._running = self._last = None
+            self._busy = False
         item.done.set(1)

@@ -85,7 +85,9 @@ class _RankState:
     arrays: dict[str, np.ndarray]
     pending: list = field(default_factory=list)
     #: State -> its bound operations, LoopRegion -> its range; filled on
-    #: first use, except for elements whose binding reads a loop variable
+    #: first use, except for elements whose binding reads a loop variable.
+    #: The operations close over this rank's fields, never the rank
+    #: itself: the cache would hold itself, and with it the context
     bound: dict = field(default_factory=dict)
     host: Any = None
     stream: Any = None
@@ -399,15 +401,17 @@ class SDFGExecutor:
         if self.persistent:
             return lambda device, bindings: kernel(device.dev, bindings)
         spec = KernelSpec(name, blocks=max(1, -(-volume // 1024)))
+        host, stream = rs.host, rs.stream
 
         def launch(_device, bindings: dict[str, int]):
             snapshot = dict(bindings)  # the kernel runs after the host moves on
-            return rs.host.launch(rs.stream, spec, lambda dev: kernel(dev, snapshot))
+            return host.launch(stream, spec, lambda dev: kernel(dev, snapshot))
         return launch
 
     def _bind_mpi_p2p(self, node, rs: _RankState, bindings: dict[str, int]):
         assert self.comm is not None
         comm, rank, tag, host, stream = self.comm, rs.rank, node.tag, rs.host, rs.stream
+        pending = rs.pending
         peer = self._peer_rank(node.peer, bindings)
         if peer == MPI_PROC_NULL:
             return None
@@ -441,7 +445,7 @@ class SDFGExecutor:
                 req = yield from comm.irecv(
                     rank, out, peer, tag, nbytes=nbytes, datatype=datatype
                 )
-            rs.pending.append(req)
+            pending.append(req)
         return p2p
 
     def _bind_put(self, node: PutmemSignal, rs: _RankState, bindings: dict[str, int]):

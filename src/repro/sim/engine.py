@@ -325,15 +325,14 @@ class Process:
     """
 
     __slots__ = (
-        "sim", "gen", "name", "alive", "result", "error", "_joiners",
+        "gen", "name", "alive", "result", "error", "_joiners",
         "_waiting_on", "_waiting_flag", "_waiting_join", "_blocked_since",
         "_timeout", "_spawn_site", "_wait_epoch", "_finish_time",
         "_blocked_seq",
     )
 
-    def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any], name: str,
+    def __init__(self, gen: Generator[Any, Any, Any], name: str,
                  site: tuple[str, int] | None = None) -> None:
-        self.sim = sim
         self.gen = gen
         self.name = name
         self.alive = True
@@ -342,7 +341,8 @@ class Process:
         self._joiners: list[Process] = []
         #: what the process is blocked on, stored cheaply (the command
         #: object / a (flag, value) tuple / the join target) and only
-        #: formatted into text when a diagnostic report needs it
+        #: formatted into text when a diagnostic report needs it; cleared
+        #: when the process ends, since a flag points at its simulator
         self._waiting_on: Any = "<not started>"
         #: the Flag / Process currently blocked on (None when runnable)
         self._waiting_flag: Flag | None = None
@@ -734,7 +734,7 @@ class Simulator:
         self.watchdog: Watchdog | None = None
         #: the process whose generator is currently stepping, or the
         #: NVSHMEM delivery leg or stream item applying its effects
-        #: (None in setup code before run() and when a callback starts)
+        #: (None outside run() and when a callback starts)
         self.current: Any = None
         #: synchronization observer (e.g. the repro.sanitize HB monitor);
         #: must expose spawned/released/acquired/finished/joined.  None
@@ -763,8 +763,6 @@ class Simulator:
         #: joint program-order counter shared by flag mutations and
         #: blocking waits — breaks member-time ties in wakeup accounting
         self._order_seq = 0
-        #: finished/killed processes awaiting compaction of _processes
-        self._n_dead = 0
 
     # -- process management -------------------------------------------------
 
@@ -776,7 +774,7 @@ class Simulator:
         if not isinstance(gen, Generator):
             raise TypeError(f"spawn() needs a generator, got {type(gen).__name__}")
         frame = sys._getframe(1)
-        proc = Process(self, gen, name, (frame.f_code.co_filename, frame.f_lineno))
+        proc = Process(gen, name, (frame.f_code.co_filename, frame.f_lineno))
         self._processes.append(proc)
         self.n_spawned += 1
         if self.monitor is not None:
@@ -833,8 +831,8 @@ class Simulator:
 
         ``weak=True`` schedules a callback that must not keep the run
         alive: if it surfaces when nothing but weak events remains
-        pending, the run ends at the current time without executing it
-        or advancing the clock.  Crash timers use this so a fault
+        pending, the run ends at the current time, dropping every weak
+        callback still pending, without advancing the clock.  Crash timers use this so a fault
         armed past the run's natural end leaves the timeline untouched.
         """
         if time < self.now - 1e-12:
@@ -904,22 +902,29 @@ class Simulator:
             pass  # cleanup errors inside dying code are part of the crash
         if self.monitor is not None:
             self.monitor.finished(proc)
-        # No compaction here: kill() runs inside kill_matching's
-        # iteration over _processes.  _finish picks the tally up later.
-        self._n_dead += 1
         return True
 
-    def abandon(self) -> None:
-        """Drop the pending events, the process table and the hang
-        monitor of a run that is over.  Each reaches back to this
-        simulator (a process through ``sim``, a callback or a watchdog
-        context provider through its closure), so the run would
-        otherwise live until the cycle collector runs."""
+    def close(self) -> None:
+        """End a run that raised: kill every process still alive,
+        fail-stop, and drop the pending events and watchdog deadlines.
+
+        A run that drains needs no call — it leaves nothing behind that
+        points back at this simulator.  After a raise, the blocked
+        survivors' suspended generators and the pending callbacks still
+        reach it, so its owner calls this before dropping it.
+        """
+        self.kill_matching(lambda proc: True)
+        self._drop_pending()
+
+    def _drop_pending(self) -> None:
+        """Forget every pending event and watchdog deadline."""
         self._times.clear()
         self._buckets.clear()
         self._ready.clear()
-        self._processes = []
-        self.current = self.watchdog = None
+        wd = self.watchdog
+        if wd is not None:
+            wd._heap.clear()
+            wd._next_deadline = float("inf")
 
     def kill_matching(self, predicate: Callable[[Process], bool]) -> list[Process]:
         """Kill every live process whose name/state matches, in spawn
@@ -1109,7 +1114,11 @@ class Simulator:
             self.n_ready_pops += n_ready
             self.n_callbacks += n_call
             self.n_events += n_events + n_call
-        # Drained: diagnose blocked survivors, else report the final time.
+            self.current = None
+        # Drained: only weak callbacks and dead tokens can remain, and
+        # every armed deadline is stale.  Diagnose blocked survivors,
+        # else report the final time.
+        self._drop_pending()
         alive_blocked = [p for p in self._processes if p.alive]
         if alive_blocked:
             report = self._wait_report(alive_blocked)
@@ -1251,6 +1260,7 @@ class Simulator:
         proc.result = result
         proc.error = error
         proc._finish_time = self.now
+        proc._waiting_on = None
         monitor = self.monitor
         if monitor is not None:
             monitor.finished(proc)
@@ -1259,15 +1269,3 @@ class Simulator:
                 monitor.joined(joiner, proc)
             self._resume(joiner, result)
         proc._joiners.clear()
-        # Bound the process table: long runs at 256+ PEs retire millions
-        # of short-lived delivery/transfer processes, and keeping every
-        # corpse makes memory grow with *events* instead of PEs.  Dead
-        # entries are dropped (preserving spawn order) once they
-        # dominate the table.  Skipped for batched runs — the batch
-        # demux folds finish times over the full table afterwards — and
-        # never triggered from kill(), which iterates the table.
-        self._n_dead += 1
-        if (self._n_dead > 4096 and self._n_dead * 2 > len(self._processes)
-                and self.batch_members is None):
-            self._processes = [p for p in self._processes if p.alive]
-            self._n_dead = 0

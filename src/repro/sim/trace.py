@@ -21,6 +21,7 @@ __all__ = [
     "merge_intervals",
     "overlap_length",
     "pe_of_lane",
+    "time_ruler",
     "wire_route",
 ]
 
@@ -339,7 +340,7 @@ class Tracer:
         t1 = max(s.end for s in spans)
         extent = max(t1 - t0, 1e-12)
         glyph = {"compute": "#", "comm": "~", "sync": "|", "api": "."}
-        rows = [self._ruler_row(t0, t1, width)]
+        rows = [time_ruler(t0, t1, width, 24)]
         for lane in sorted({s.lane for s in spans}):
             row = [" "] * width
             for s in spans:
@@ -358,20 +359,22 @@ class Tracer:
                     f". api   * zero-duration")
         return "\n".join(rows)
 
-    @staticmethod
-    def _ruler_row(t0: float, t1: float, width: int) -> str:
-        """Time-axis ruler: tick marks at the quartiles, labeled in µs."""
-        ticks = [0, (width - 1) // 4, (width - 1) // 2, 3 * (width - 1) // 4, width - 1]
-        ruler = ["-"] * width
-        for tick in ticks:
-            ruler[tick] = "+"
-        labels = [" "] * width
-        for tick in ticks:
-            text = f"{t0 + (t1 - t0) * tick / max(1, width - 1):.1f}"
-            at = min(tick, width - len(text))
-            labels[at:at + len(text)] = text
-        header = f"{'t (us)':>24} |{''.join(ruler)}|"
-        return f"{'':>24}  {''.join(labels)}\n{header}"
+
+def time_ruler(t0: float, t1: float, width: int, label_width: int) -> str:
+    """The two header rows of an ASCII timeline: µs labels over a
+    time-axis ruler with tick marks at the quartiles, both indented past
+    a ``label_width`` row-label column."""
+    ticks = [0, (width - 1) // 4, (width - 1) // 2, 3 * (width - 1) // 4, width - 1]
+    ruler = ["-"] * width
+    for tick in ticks:
+        ruler[tick] = "+"
+    labels = [" "] * width
+    for tick in ticks:
+        text = f"{t0 + (t1 - t0) * tick / max(1, width - 1):.1f}"
+        at = min(tick, width - len(text))
+        labels[at:at + len(text)] = text
+    return (f"{'':>{label_width}}  {''.join(labels)}\n"
+            f"{'t (us)':>{label_width}} |{''.join(ruler)}|")
 
 
 def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:

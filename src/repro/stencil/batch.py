@@ -169,9 +169,10 @@ def run_batched_stencil(
         raise BatchDivergence("ambient fault profile active")
 
     # The fused run allocates stacked tuples at a rate that makes gen-0
-    # collections a measurable fraction of its wall time; nothing in a
-    # timing-only run creates reference cycles, so pause collection for
-    # the (short) run and restore the collector's prior state after.
+    # collections a measurable fraction of its wall time.  Nothing a
+    # simulator owns points back at it (docs/architecture.md), so a
+    # timing-only run that drains leaves no reference cycle: pause
+    # collection for the (short) run and restore its prior state after.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()

@@ -132,13 +132,19 @@ class TestCrashRecovery:
 
 
 class TestSegmentMemory:
-    @pytest.mark.parametrize("profile, every", [(None, 2), ("crash_recover", None)])
+    @pytest.mark.parametrize("profile, every, kw", [
+        (None, 2, {}),
+        ("crash_recover", None, {}),
+        ("crash_recover@1", 4, {"global_shape": (258, 258), "num_gpus": 8,
+                                "iterations": 16}),
+    ])
     def test_clean_segments_free_without_the_cycle_collector(self, monkeypatch,
-                                                             profile, every):
+                                                             profile, every, kw):
         """A finished segment's context, simulator and tracer (its heap,
         buffers, calendar and trace rows), clean or crashed, go as soon
-        as the next segment replaces it, so peak memory does not depend
-        on when the cycle collector last ran."""
+        as the next segment replaces it, and the last one when the run
+        returns, so peak memory does not depend on when the cycle
+        collector last ran."""
         cls = VARIANTS["cpufree"]
         segments = []
         original = cls.__init__
@@ -153,14 +159,15 @@ class TestSegmentMemory:
         gc.collect()
         gc.disable()
         try:
-            outcome = run_with_recovery(cls, _config(profile), checkpoint_every=every)
+            outcome = run_with_recovery(cls, _config(profile, **kw),
+                                        checkpoint_every=every)
             alive = [sorted(k for k, ref in refs.items() if ref() is not None)
                      for refs in segments]
         finally:
             gc.enable()
         attempts = outcome.attempts
         assert len(alive) == len(attempts) >= 3
-        assert alive[:-1] == [[]] * (len(alive) - 1), [a["status"] for a in attempts]
+        assert alive == [[]] * len(alive), [a["status"] for a in attempts]
 
     def test_previous_segment_released_before_the_next_is_built(self, monkeypatch):
         """Only one segment's context is alive at a time, so peak memory

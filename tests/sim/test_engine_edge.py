@@ -174,37 +174,3 @@ def test_time_never_goes_backwards():
     sim.run()
     assert stamps == sorted(stamps)
 
-
-class TestProcessTableCompaction:
-    def test_dead_processes_are_compacted(self):
-        sim = Simulator()
-
-        def worker():
-            yield Delay(0.5)
-
-        def spawner():
-            for _ in range(15000):
-                sim.spawn(worker(), name="w")
-                yield Delay(0.1)
-
-        sim.spawn(spawner(), name="spawner")
-        sim.run()
-        assert len(sim._processes) < 10000
-
-    def test_batched_runs_keep_every_process(self):
-        """stencil/batch.py folds finish times over sim._processes
-        post-run; batched sims must never compact."""
-        sim = Simulator()
-        sim.batch_members = 2
-
-        def worker():
-            yield Delay(0.5)
-
-        def spawner():
-            for _ in range(15000):
-                sim.spawn(worker(), name="w")
-                yield Delay(0.1)
-
-        sim.spawn(spawner(), name="spawner")
-        sim.run()
-        assert len(sim._processes) == 15001

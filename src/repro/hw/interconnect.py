@@ -244,6 +244,11 @@ class NodeTopology:
             raise ValueError(f"device {device} out of range (num_gpus={self.num_gpus})")
 
 
+def _idle_clock() -> float:
+    """Rail clock of a topology no simulator drives yet."""
+    return 0.0
+
+
 class ClusterTopology(NodeTopology):
     """Hierarchical topology: NVSwitch domains joined by NIC rails.
 
@@ -259,22 +264,33 @@ class ClusterTopology(NodeTopology):
     """
 
     def __init__(self, node: NodeSpec) -> None:
+        #: one egress rail per domain, clocked by the topology's
+        #: simulator; built first, because the base constructor's
+        #: ``sim = None`` installs their clock
+        self._rails = [RailLink(node.rail_bandwidth_gbps, node.rail_latency_us)
+                       for _ in range(node.num_domains)]
         super().__init__(node)
         self.domain_gpus = node.domain_gpus
         self.num_domains = node.num_domains
         #: effective direct link for cross-domain pure queries
         self._inter = Link(node.rail_bandwidth_gbps,
                            node.nvlink_latency_us + node.rail_latency_us)
-        #: one egress rail per domain, sharing the topology's sim clock
-        self._rails = [RailLink(node.rail_bandwidth_gbps, node.rail_latency_us,
-                                self._now)
-                       for _ in range(self.num_domains)]
         #: (src_domain, dst_domain) -> [bytes, transfers]
         self._pending_rail: dict = {}
 
-    def _now(self) -> float:
-        sim = self.sim
-        return sim.now if sim is not None else 0.0
+    @property
+    def sim(self):
+        return self._sim
+
+    @sim.setter
+    def sim(self, sim) -> None:
+        # The rails' clock closes over the simulator alone.  A bound
+        # method of the topology would close the cycle topology -> rail
+        # -> clock -> topology, and keep the simulator alive with it.
+        self._sim = sim
+        clock = _idle_clock if sim is None else lambda: sim.now
+        for rail in self._rails:
+            rail._clock = clock
 
     def rail(self, domain: int) -> RailLink:
         """Domain ``domain``'s egress rail."""

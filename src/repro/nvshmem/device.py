@@ -669,7 +669,7 @@ class _Leg:
 
     __slots__ = ("runtime", "sim", "src", "dst", "wire_us", "write", "signal",
                  "op", "flow", "signal_index", "wait_for", "fifo", "faults",
-                 "faulty", "start", "attempt", "lost", "done")
+                 "faulty", "start", "attempt", "lost", "done", "__weakref__")
 
     def __init__(self, dev: NVSHMEMDevice, dst: int, wire_us: float, write: Any,
                  signal: tuple[Flag, int, SignalOp] | None, op: str,

@@ -75,7 +75,7 @@ class _Item:
     """
 
     __slots__ = ("name", "work", "begin", "end", "done", "prev", "enqueued",
-                 "start")
+                 "start", "__weakref__")
 
     def __init__(self, stream: "Stream", name: str,
                  work: Callable[[], Generator[Any, Any, Any]] | None,

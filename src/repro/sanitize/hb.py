@@ -29,15 +29,19 @@ Two subtleties, mirrored from the engine:
 * a ``WaitFlag`` that resumes via *timeout* never observed the flag —
   the engine deliberately performs no ``acquired`` for it.
 
-Clock maps are keyed by the live ``Process`` / ``Flag`` objects (which
-also keeps them alive): ``id()`` reuse after garbage collection would
-otherwise merge a dead process's clock into an unrelated new one and
-fabricate happens-before edges.
+Clock maps hold their ``Process`` / ``Flag`` / item / leg keys weakly.
+A strong key would keep the run alive from its own monitor (a flag
+points at its simulator, which holds the monitor), so a sanitized run
+would wait for the cycle collector.  A key by ``id()`` alone would
+merge a dead object's clock into an unrelated new one at the same
+address and fabricate happens-before edges; a weak entry goes with its
+object, and tids are never reused.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Flag, Process
@@ -87,10 +91,10 @@ class HBMonitor:
 
     def __init__(self) -> None:
         self._next_tid = MAIN_TID + 1
-        # keyed by Process object; None stands for host/main code
-        self._tids: dict[object, int] = {}
-        self._proc_clocks: dict[object, VectorClock] = {}
-        self._flag_clocks: dict[object, VectorClock] = {}
+        # keyed weakly by Process object; None stands for host/main code
+        self._tids: WeakKeyDictionary[object, int] = WeakKeyDictionary()
+        self._proc_clocks: WeakKeyDictionary[object, VectorClock] = WeakKeyDictionary()
+        self._flag_clocks: WeakKeyDictionary[object, VectorClock] = WeakKeyDictionary()
         self._main_clock = VectorClock({MAIN_TID: 1})
 
     # -- identity ------------------------------------------------------------

@@ -243,29 +243,9 @@ class _Builder:
         return state
 
     def _collect_reads(self, rhs: ast.expr, loop_vars: set[str]) -> list[Memlet]:
-        memlets: list[Memlet] = []
-        seen: set[str] = set()
-
-        class Visitor(ast.NodeVisitor):
-            def visit_Subscript(inner, node: ast.Subscript) -> None:  # noqa: N805
-                if isinstance(node.value, ast.Name) and node.value.id in self.sdfg.arrays:
-                    memlets.append(
-                        Memlet(node.value.id, self._subset_dims(node, loop_vars))
-                    )
-                    seen.add(node.value.id)
-                else:
-                    inner.generic_visit(node)
-
-            def visit_Name(inner, node: ast.Name) -> None:  # noqa: N805
-                if node.id in self.sdfg.arrays and node.id not in seen:
-                    desc = self.sdfg.arrays[node.id]
-                    memlets.append(
-                        Memlet(node.id, tuple(Range(0, _FULL) for _ in desc.shape))
-                    )
-                    seen.add(node.id)
-
-        Visitor().visit(rhs)
-        return memlets
+        collector = _ReadCollector(self, loop_vars)
+        collector.visit(rhs)
+        return collector.memlets
 
     # -- library-call states --------------------------------------------------------------
 
@@ -419,3 +399,36 @@ class _Builder:
         state = State(f"s{self._state_counter}_{label}")
         self._state_counter += 1
         return state
+
+
+class _ReadCollector(ast.NodeVisitor):
+    """The array reads of a right-hand side, as memlets in visit order.
+
+    A module-level class: a class built per call is a reference cycle
+    (as is every class), and its methods' closure would tie the
+    builder, and so the whole SDFG, into it until a collection.
+    """
+
+    def __init__(self, builder: _Builder, loop_vars: set[str]) -> None:
+        self.builder = builder
+        self.loop_vars = loop_vars
+        self.memlets: list[Memlet] = []
+        self.seen: set[str] = set()
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        builder = self.builder
+        if isinstance(node.value, ast.Name) and node.value.id in builder.sdfg.arrays:
+            self.memlets.append(
+                Memlet(node.value.id, builder._subset_dims(node, self.loop_vars))
+            )
+            self.seen.add(node.value.id)
+        else:
+            self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        arrays = self.builder.sdfg.arrays
+        if node.id in arrays and node.id not in self.seen:
+            self.memlets.append(
+                Memlet(node.id, tuple(Range(0, _FULL) for _ in arrays[node.id].shape))
+            )
+            self.seen.add(node.id)

@@ -137,6 +137,25 @@ class Region:
             else:
                 yield from el.walk_states()
 
+    def walk_regions(self) -> Iterator["Region"]:
+        """This region, then its nested regions, depth first."""
+        yield self
+        for el in self.elements:
+            if isinstance(el, Region):
+                yield from el.walk_regions()
+
+    def _describe(self, lines: list[str], indent: int) -> None:
+        """Append this region's structural dump to ``lines``."""
+        pad = "  " * indent
+        for el in self.elements:
+            if isinstance(el, LoopRegion):
+                lines.append(f"{pad}{el.trip_count_str()} [{el.schedule.value}]")
+                el._describe(lines, indent + 1)
+            else:
+                lines.append(f"{pad}state {el.name} [{el.schedule.value}]")
+                for node in el.nodes:
+                    lines.append(f"{pad}  {node!r}")
+
 
 class LoopRegion(Region):
     """A sequential loop ``for var in range(start, end)`` of elements."""
@@ -199,12 +218,7 @@ class SDFG:
 
     def walk_regions(self) -> Iterator[Region]:
         """All regions, including nested loop regions."""
-        def rec(region: Region) -> Iterator[Region]:
-            yield region
-            for el in region.elements:
-                if isinstance(el, Region):
-                    yield from rec(el)
-        return rec(self.body)
+        return self.body.walk_regions()
 
     def loop_regions(self) -> list[LoopRegion]:
         return [r for r in self.walk_regions() if isinstance(r, LoopRegion)]
@@ -216,19 +230,7 @@ class SDFG:
             shape = " x ".join(expr_to_str(s) for s in desc.shape)
             lines.append(f"  array {name}[{shape}] {desc.storage.value}"
                          + (" transient" if desc.transient else ""))
-
-        def rec(region: Region, indent: int) -> None:
-            pad = "  " * indent
-            for el in region.elements:
-                if isinstance(el, LoopRegion):
-                    lines.append(f"{pad}{el.trip_count_str()} [{el.schedule.value}]")
-                    rec(el, indent + 1)
-                else:
-                    lines.append(f"{pad}state {el.name} [{el.schedule.value}]")
-                    for node in el.nodes:
-                        lines.append(f"{pad}  {node!r}")
-
-        rec(self.body, 1)
+        self.body._describe(lines, 1)
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -51,6 +51,28 @@ class _Found:
     index: int
 
 
+def _scan(region: Region, loop_var: str | None, sends: list[_Found],
+          recvs: list[_Found], waits: list[_Found], loops: dict[int, str]) -> None:
+    """Collect ``region``'s MPI nodes, depth first, and the loop
+    variable around each state that holds one.  Module-level:
+    a nested recursive closure is a reference cycle that would hold
+    the SDFG until a collection."""
+    for index, el in enumerate(region.elements):
+        if isinstance(el, LoopRegion):
+            _scan(el, el.var, sends, recvs, waits, loops)
+        elif isinstance(el, State):
+            for node in el.library_nodes:
+                found = _Found(el, node, region, index)
+                if isinstance(node, MPIIsend):
+                    sends.append(found)
+                elif isinstance(node, MPIIrecv):
+                    recvs.append(found)
+                elif isinstance(node, MPIWaitall):
+                    waits.append(found)
+            if el.library_nodes and loop_var is not None:
+                loops[id(el)] = loop_var
+
+
 def mpi_to_nvshmem(
     sdfg: SDFG,
     conjugates: dict[str, str],
@@ -72,24 +94,7 @@ def mpi_to_nvshmem(
     recvs: list[_Found] = []
     waits: list[_Found] = []
     loops: dict[int, str] = {}
-
-    def scan(region: Region, loop_var: str | None) -> None:
-        for index, el in enumerate(region.elements):
-            if isinstance(el, LoopRegion):
-                scan(el, el.var)
-            elif isinstance(el, State):
-                for node in el.library_nodes:
-                    found = _Found(el, node, region, index)
-                    if isinstance(node, MPIIsend):
-                        sends.append(found)
-                    elif isinstance(node, MPIIrecv):
-                        recvs.append(found)
-                    elif isinstance(node, MPIWaitall):
-                        waits.append(found)
-                if el.library_nodes and loop_var is not None:
-                    loops[id(el)] = loop_var
-
-    scan(sdfg.body, None)
+    _scan(sdfg.body, None, sends, recvs, waits, loops)
 
     if not sends and not recvs:
         return sdfg

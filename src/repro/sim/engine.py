@@ -95,6 +95,7 @@ nothing — a timed-out waiter observed no release.
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import deque
 from collections.abc import Callable, Generator
@@ -328,7 +329,7 @@ class Process:
         "gen", "name", "alive", "result", "error", "_joiners",
         "_waiting_on", "_waiting_flag", "_waiting_join", "_blocked_since",
         "_timeout", "_spawn_site", "_wait_epoch", "_finish_time",
-        "_blocked_seq",
+        "_blocked_seq", "__weakref__",
     )
 
     def __init__(self, gen: Generator[Any, Any, Any], name: str,
@@ -414,7 +415,8 @@ class Flag:
     """
 
     __slots__ = ("sim", "name", "_value", "_ge", "_eq", "_scan", "_wseq",
-                 "watch_budget_us", "_last_change", "_lcm_t", "_lcm_s")
+                 "watch_budget_us", "_last_change", "_lcm_t", "_lcm_s",
+                 "__weakref__")
 
     def __init__(self, sim: "Simulator", value: int = 0, name: str = "flag") -> None:
         self.sim = sim
@@ -970,6 +972,13 @@ class Simulator:
         Returns the final simulated time.  Raises :class:`DeadlockError`
         if live processes remain blocked with no pending events, and
         re-raises the first exception of any failed process.
+
+        The cycle collector is paused for the run and restored to its
+        prior state on every exit.  The loop allocates events, tuples
+        and generator frames at a rate that makes collections a large
+        share of its wall time, and none of it needs one: nothing a
+        simulator owns points back at it (docs/architecture.md,
+        "Ownership"), so reference counting frees every finished run.
         """
         times, buckets, ready = self._times, self._buckets, self._ready
         # Counters accumulate in locals (written back in the finally —
@@ -983,6 +992,8 @@ class Simulator:
         now_p = self.now
         if now_p.__class__ is not float and isinstance(now_p, Stacked):
             now_p = now_p.v[0]
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             while times or ready:
                 # Merge the ready queue and the calendar by (time, seq).
@@ -1109,30 +1120,33 @@ class Simulator:
                     raise SimulationError(
                         f"process {proc.name} yielded unsupported command {command!r}"
                     )
+            # Drained: only weak callbacks and dead tokens can remain,
+            # and every armed deadline is stale.  Diagnose blocked
+            # survivors, else report the final time.
+            self._drop_pending()
+            alive_blocked = [p for p in self._processes if p.alive]
+            if alive_blocked:
+                report = self._wait_report(alive_blocked)
+                wd = self.watchdog
+                if wd is not None and any(
+                    p._waiting_flag is not None
+                    and p._waiting_flag.watch_budget_us is not None
+                    for p in alive_blocked
+                ):
+                    raise wd._drain_error(self, alive_blocked, report)
+                raise DeadlockError(
+                    f"deadlock at t={self.now:.3f}us: "
+                    f"{len(alive_blocked)} blocked process(es):\n{report}"
+                )
+            return self.now
         finally:
             self.n_heap_pops += n_heap
             self.n_ready_pops += n_ready
             self.n_callbacks += n_call
             self.n_events += n_events + n_call
             self.current = None
-        # Drained: only weak callbacks and dead tokens can remain, and
-        # every armed deadline is stale.  Diagnose blocked survivors,
-        # else report the final time.
-        self._drop_pending()
-        alive_blocked = [p for p in self._processes if p.alive]
-        if alive_blocked:
-            report = self._wait_report(alive_blocked)
-            wd = self.watchdog
-            if wd is not None and any(
-                p._waiting_flag is not None and p._waiting_flag.watch_budget_us is not None
-                for p in alive_blocked
-            ):
-                raise wd._drain_error(self, alive_blocked, report)
-            raise DeadlockError(
-                f"deadlock at t={self.now:.3f}us: "
-                f"{len(alive_blocked)} blocked process(es):\n{report}"
-            )
-        return self.now
+            if gc_was_enabled:
+                gc.enable()
 
     def _wait_report(self, blocked: list[Process], indent: str = "  ") -> str:
         """One line per blocked process: what it waits on, since when,

@@ -20,7 +20,6 @@ so batching is strictly an optimization, never a semantic change.
 from __future__ import annotations
 
 import dataclasses
-import gc
 from typing import Sequence
 
 from repro.obs.batch import BatchMetrics
@@ -168,28 +167,6 @@ def run_batched_stencil(
         # replace() re-resolved an ambient fault profile into the copy
         raise BatchDivergence("ambient fault profile active")
 
-    # The fused run allocates stacked tuples at a rate that makes gen-0
-    # collections a measurable fraction of its wall time.  Nothing a
-    # simulator owns points back at it (docs/architecture.md), so a
-    # timing-only run that drains leaves no reference cycle: pause
-    # collection for the (short) run and restore its prior state after.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _run_batched_locked(variant_name, configs, cfg, B, with_metrics)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run_batched_locked(
-    variant_name: str,
-    configs: Sequence[StencilConfig],
-    cfg: StencilConfig,
-    B: int,
-    with_metrics: bool,
-) -> tuple[list[StencilResult], list[dict | None]]:
     registry = BatchMetrics(B) if with_metrics else None
     with use_metrics(registry):
         variant = VARIANTS[variant_name](cfg)

@@ -3,10 +3,12 @@
 Nothing a simulator owns points back at it, so once the caller drops a
 run's result, its ``Simulator`` and ``MultiGPUContext`` go at once,
 with the cycle collector off: peak memory never waits for a collection.
+The same holds for a compiled SDFG, its regions and its states.
 """
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +19,15 @@ from repro.faults.harness import run_cell
 from repro.hw import HGX_A100_8GPU
 from repro.recover import run_with_recovery
 from repro.runtime import MultiGPUContext
+from repro.sanitize import attach_sanitizer, detect_races
 from repro.sdfg.codegen import SDFGExecutor
 from repro.sdfg.distributed import SlabDecomposition1D
-from repro.sdfg.programs import baseline_pipeline, build_jacobi_1d_sdfg
+from repro.sdfg.programs import (
+    CONJUGATES_1D,
+    baseline_pipeline,
+    build_jacobi_1d_sdfg,
+    cpufree_pipeline,
+)
 from repro.sim import Simulator, Tracer
 from repro.stencil import StencilConfig
 from repro.stencil.base import VARIANTS
@@ -55,6 +63,23 @@ def _recovery(profile, shape, gpus, iterations, every):
     return outcome.restarts >= 1 if profile else outcome.restarts == 0
 
 
+def _hierarchical(with_data):
+    # 16 PEs in two NVSwitch domains of 8: cross-domain puts use the rails
+    config = StencilConfig(
+        global_shape=(130, 34), num_gpus=16, iterations=4, with_data=with_data,
+        node=replace(HGX_A100_8GPU, num_gpus=8, nvswitch_domain_gpus=8))
+    return run_variant("cpufree", config).total_time_us > 0
+
+
+def _sanitized():
+    variant = VARIANTS["cpufree"](StencilConfig(global_shape=(34, 66), num_gpus=2,
+                                                iterations=4))
+    sanitizer = attach_sanitizer(variant.ctx)
+    variant.run()
+    detect_races(sanitizer)
+    return len(sanitizer.accesses) > 0
+
+
 RUNS = {
     "per-point": lambda: figures._stencil_point(
         "baseline_copy", _timing((66, 130))).per_iteration_us > 0,
@@ -67,6 +92,9 @@ RUNS = {
     "sdfg-baseline": _sdfg_baseline,
     "recover-clean": lambda: _recovery(None, (34, 66), 2, 6, 2),
     "recover-crashed": lambda: _recovery("crash_recover@1", (258, 258), 8, 16, 4),
+    "hierarchical-data": lambda: _hierarchical(True),
+    "hierarchical-timing": lambda: _hierarchical(False),
+    "sanitized": _sanitized,
 }
 
 
@@ -87,4 +115,26 @@ def test_finished_run_is_freed_without_the_cycle_collector(monkeypatch, name):
         gc.enable()
     assert ran_as_intended
     assert refs
+    assert alive == []
+
+
+@pytest.mark.parametrize("pipeline", ["baseline", "cpufree"])
+def test_compiled_sdfg_is_freed_without_the_cycle_collector(pipeline):
+    gc.collect()
+    gc.disable()
+    try:
+        sdfg = build_jacobi_1d_sdfg()
+        if pipeline == "cpufree":
+            cpufree_pipeline(sdfg, CONJUGATES_1D)
+        else:
+            baseline_pipeline(sdfg)
+        described = sdfg.describe()
+        parts = [sdfg, *sdfg.walk_regions(), *sdfg.walk_states()]
+        refs = [weakref.ref(part) for part in parts]
+        del sdfg, parts
+        alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert "for t in" in described
+    assert len(refs) > 3
     assert alive == []

@@ -153,7 +153,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="fuse compatible cache-miss sweep points into one "
                              "vector-clock simulation (default on; --no-batch "
                              "forces the per-point path — output and cache "
-                             "entries are byte-identical either way)")
+                             "entries are byte-identical either way). Batched "
+                             "runs record no metrics, so --metrics-out runs "
+                             "every point on its own")
     parser.add_argument("--metrics-out", type=str, default=None, metavar="PATH",
                         help="collect observability metrics across the run and "
                              "write the registry dump (JSON) to PATH; the dump "
@@ -281,9 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"(sweep cache: {runner.hits} hit(s), {runner.misses} miss(es) "
               f"in {args.cache_dir})")
     if args.batch:
+        # batched runs record no metrics: a metered sweep fuses nothing
+        why = "" if registry is None else "; --metrics-out runs every point on its own"
         print(f"(batched execution: {runner.batch_points} point(s) fused into "
               f"{runner.batch_groups} run(s), {runner.batch_fallbacks} "
-              f"fallback(s))")
+              f"fallback(s){why})")
     if cache is not None and cache.quarantined:
         for key, reason in cache.quarantined:
             print(f"(cache entry {key[:12]}… quarantined: {reason} — "

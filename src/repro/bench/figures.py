@@ -60,6 +60,7 @@ __all__ = [
     "fig_multinode_weak",
     "weak_shape_2d",
     "weak_shape_3d",
+    "win_loss",
 ]
 
 DEFAULT_GPU_COUNTS = (1, 2, 4, 8)
@@ -170,14 +171,13 @@ def _stencil_group_key(args: tuple):
     return (variant, len(config.global_shape), rest)
 
 
-def _run_stencil_group(argtuples, with_metrics: bool) -> list:
+def _run_stencil_group(argtuples) -> list:
     """Fused group runner: one vector-clock simulation for the whole
-    stack, demuxed into the exact per-point ``Row`` (+ dump) values."""
+    stack, demuxed into the exact per-point ``Row`` values."""
     variant = argtuples[0][0]
     configs = [config for _, config in argtuples]
-    results, dumps = run_batched_stencil(variant, configs,
-                                         with_metrics=with_metrics)
-    rows = [
+    results = run_batched_stencil(variant, configs)
+    return [
         Row(
             series=variant,
             x=config.num_gpus,
@@ -187,9 +187,6 @@ def _run_stencil_group(argtuples, with_metrics: bool) -> list:
         )
         for (_, config), res in zip(argtuples, results)
     ]
-    if with_metrics:
-        return list(zip(rows, dumps))
-    return rows
 
 
 register_batchable(_stencil_point, group_key=_stencil_group_key,
@@ -389,6 +386,19 @@ def fig_multinode_weak(
 # --------------------------- Auto-overlap win/loss ---------------------------
 
 
+def win_loss(cpufree: Row, auto: Row) -> str:
+    """``"win"``, ``"tie"`` or ``"loss"`` of ``auto_overlap`` against
+    hand-tuned ``cpufree`` at one point: a win is a strictly faster
+    per-iteration time.  ``chunks=1`` delegates to cpufree's exact body,
+    so ties are bit-exact; anything inside float noise of that is a tie."""
+    eps = 1e-9 * cpufree.per_iteration_us
+    if auto.per_iteration_us < cpufree.per_iteration_us - eps:
+        return "win"
+    if auto.per_iteration_us <= cpufree.per_iteration_us + eps:
+        return "tie"
+    return "loss"
+
+
 def fig_auto_overlap(
     sizes: tuple[str, ...] = ("small", "medium", "large"),
     gpu_counts: tuple[int, ...] = DEFAULT_GPU_COUNTS,
@@ -397,9 +407,7 @@ def fig_auto_overlap(
     """Compiler-derived ``auto_overlap`` vs hand-tuned ``cpufree``.
 
     One row pair per (size, gpus) point of the figure suite; the
-    headlines are the win/loss tally (a win is a strictly faster
-    per-iteration time; ``chunks=1`` schedules reuse cpufree's body
-    verbatim, so those points tie bit-exactly).  Opt-in (run by name:
+    headlines are the :func:`win_loss` tally.  Opt-in (run by name:
     ``python -m repro.bench auto_overlap``) so the committed golden
     report is unaffected; ``repro.tune --winloss-out`` emits the same
     comparison as byte-stable JSON.
@@ -412,23 +420,17 @@ def fig_auto_overlap(
     ]
     row_sets = _stencil_row_sets(specs)
     rows: list[Row] = []
-    wins = ties = losses = 0
+    outcomes: list[str] = []
     for size, srows in zip(sizes, row_sets):
         for row in srows:
             row.series = f"{row.series}/{size}"
             rows.append(row)
         pairs = iter(srows)
-        for cf, ao in zip(pairs, pairs):
-            eps = 1e-9 * cf.per_iteration_us
-            if ao.per_iteration_us < cf.per_iteration_us - eps:
-                wins += 1
-            elif ao.per_iteration_us <= cf.per_iteration_us + eps:
-                ties += 1
-            else:
-                losses += 1
+        outcomes += [win_loss(cf, ao) for cf, ao in zip(pairs, pairs)]
     fig = FigureData(
         "AO", "Auto-overlap (compiler schedule) vs hand-tuned cpufree", rows)
-    total = wins + ties + losses
+    wins, ties, losses = (outcomes.count(o) for o in ("win", "tie", "loss"))
+    total = len(outcomes)
     fig.headlines = {
         "wins": float(wins),
         "ties": float(ties),

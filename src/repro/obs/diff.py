@@ -58,16 +58,18 @@ def flatten_metrics(payload: dict[str, Any]) -> dict[str, float]:
             flat[f"{base}:count"] = float(entry["count"])
         return flat
     flat = {}
-
-    def walk(node: Any, path: str) -> None:
-        if isinstance(node, dict):
-            for key, value in node.items():
-                walk(value, f"{path}.{key}" if path else str(key))
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            flat[path] = float(node)
-
-    walk(payload, "")
+    _walk(payload, "", flat)
     return flat
+
+
+def _walk(node: Any, path: str, flat: dict[str, float]) -> None:
+    """Flatten nested dicts into ``flat``; a module-level function, not
+    a closure, so a call leaves no function/cell cycle behind."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _walk(value, f"{path}.{key}" if path else str(key), flat)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        flat[path] = float(node)
 
 
 def load_metrics(path: str) -> dict[str, float]:

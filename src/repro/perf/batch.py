@@ -10,12 +10,13 @@ cache-miss points into groups, run each group fused, and fall back to
 the ordinary per-point path whenever a group diverges.
 
 The contract is strict: batched execution is an *optimization only*.
-Per-point results, metrics dumps, and cache entries must come out
-byte-identical to the per-point path (enforced by ``tests/perf`` and
-the hypothesis equivalence suite), cache keys are shared between the
-two paths, and any :class:`~repro.sim.stacked.BatchDivergence` — or
-any adapter failure at all — silently reverts the group to per-point
-execution.
+Per-point results and cache entries must come out byte-identical to
+the per-point path (enforced by ``tests/perf`` and the hypothesis
+equivalence suite), cache keys are shared between the two paths, and
+any :class:`~repro.sim.stacked.BatchDivergence` — or any adapter
+failure at all — silently reverts the group to per-point execution.
+Batched runs record no metrics, so a sweep under an active metrics
+registry never consults an adapter.
 """
 
 from __future__ import annotations
@@ -37,16 +38,14 @@ class BatchAdapter:
         are identical up to the batched axis; the group runner
         re-validates this and raises
         :class:`~repro.sim.stacked.BatchDivergence` on violations.
-    ``run(argtuples, with_metrics)``
-        Execute one group fused.  Returns one value per argtuple, in
-        order: ``(result, metrics dump)`` pairs when ``with_metrics``
-        (the exact form :func:`~repro.perf.sweep._call_with_metrics`
-        produces, so cache entries are interchangeable), else bare
-        results.
+    ``run(argtuples)``
+        Execute one group fused.  Returns one result per argtuple, in
+        order — exactly what the worker returns for each point, so
+        cache entries are interchangeable.
     """
 
     group_key: Callable[[tuple], Hashable | None]
-    run: Callable[[Sequence[tuple], bool], list[Any]]
+    run: Callable[[Sequence[tuple]], list[Any]]
 
 
 #: worker function -> adapter; populated at import time by the modules
@@ -59,7 +58,7 @@ def register_batchable(
     fn: Callable,
     *,
     group_key: Callable[[tuple], Hashable | None],
-    run: Callable[[Sequence[tuple], bool], list[Any]],
+    run: Callable[[Sequence[tuple]], list[Any]],
 ) -> None:
     """Register ``fn`` as batchable (idempotent per function)."""
     _ADAPTERS[fn] = BatchAdapter(group_key=group_key, run=run)

@@ -82,11 +82,13 @@ class SweepRunner:
     ``batch``
         Consult the worker's registered :class:`~repro.perf.batch.
         BatchAdapter` and run compatible cache-miss points fused in one
-        simulation (default).  Results, metrics dumps, and cache
-        entries are byte-identical either way — cache keys are shared
-        between the two paths — so the switch is purely a performance
-        A/B lever.  Profiled runs never batch (per-point profiles are
-        the product).
+        simulation (default).  Results and cache entries are
+        byte-identical either way — cache keys are shared between the
+        two paths — so the switch is purely a performance A/B lever.
+        Profiled runs never batch (per-point profiles are the product),
+        and neither do runs under an active metrics registry (batched
+        runs record no metrics, so the per-point dumps are the
+        product).
     ``progress``
         A :class:`~repro.obs.progress.ProgressSink` the runner narrates
         each map call through (point queued / cached / batched /
@@ -142,8 +144,7 @@ class SweepRunner:
         return result
 
     def _run_batch_groups(self, adapter: BatchAdapter, argtuples: Sequence[tuple],
-                          pending: list[int], with_metrics: bool,
-                          results: list[Any],
+                          pending: list[int], results: list[Any],
                           idents: list[str] | None = None,
                           on_done: Callable[[int], None] | None = None) -> list[int]:
         """Run groupable cache-miss points fused; returns the indices
@@ -165,7 +166,7 @@ class SweepRunner:
                 rest.extend(idxs)
                 continue
             try:
-                values = adapter.run([argtuples[i] for i in idxs], with_metrics)
+                values = adapter.run([argtuples[i] for i in idxs])
             except Exception:
                 # batching is strictly an optimization: divergence (or
                 # any adapter failure) reverts the group to per-point
@@ -296,11 +297,12 @@ class SweepRunner:
 
         if pending:
             adapter = (adapter_for(fn)
-                       if self.batch and self.profile_sink is None else None)
+                       if self.batch and self.profile_sink is None
+                       and not with_metrics else None)
             if adapter is not None:
                 pending, dup_of = _dedupe_pending(argtuples, pending)
                 pending = self._run_batch_groups(
-                    adapter, argtuples, pending, with_metrics, results, idents,
+                    adapter, argtuples, pending, results, idents,
                     on_done=store)
         if pending:
             # a single-core host gains nothing from a process pool and

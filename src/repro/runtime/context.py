@@ -177,29 +177,12 @@ class MultiGPUContext:
             if delta:
                 m.counter(name).inc(delta)
                 self._published_engine[name] = value
-        if sim.batch_members is None:
-            for flag, count in sorted(sim.flag_wakeups.items()):
-                key = f"flag:{flag}"
-                delta = count - self._published_engine.get(key, 0)
-                if delta:
-                    m.counter("sim.flag.wakeups", flag=flag).inc(delta)
-                    self._published_engine[key] = count
-        else:
-            # Batched run: per-member wakeup tallies replace the joint
-            # counts (whether a waiter blocks depends on per-member
-            # timing).  A member that never blocked on a flag has no
-            # counter entry at all in the per-point dump, so zero
-            # members must not even create one — write each member's
-            # registry directly instead of fanning out.
-            children = m.children
-            for flag, counts in sorted(sim.flag_wakeups_m.items()):
-                key = f"flag:{flag}"
-                prev = self._published_engine.get(key)
-                for i, child in enumerate(children):
-                    delta = counts[i] - (prev[i] if prev is not None else 0)
-                    if delta:
-                        child.counter("sim.flag.wakeups", flag=flag).inc(delta)
-                self._published_engine[key] = tuple(counts)
+        for flag, count in sorted(sim.flag_wakeups.items()):
+            key = f"flag:{flag}"
+            delta = count - self._published_engine.get(key, 0)
+            if delta:
+                m.counter("sim.flag.wakeups", flag=flag).inc(delta)
+                self._published_engine[key] = count
 
 
 class HostThread:

@@ -193,11 +193,15 @@ class _Builder:
             raise FrontendError(
                 f"line {node.lineno}: augmented assignment target must be a subscript"
             )
-        read = ast.Subscript(value=node.target.value, slice=node.target.slice,
-                             ctx=ast.Load())
-        rhs = ast.BinOp(left=read, op=node.op, right=node.value)
-        assign = ast.Assign(targets=[node.target], value=rhs)
-        return ast.fix_missing_locations(ast.copy_location(assign, node))
+        # every new node takes the statement's location, as
+        # ast.fix_missing_locations would give it; that helper recurses
+        # through a self-referencing closure, a cycle per call
+        read = ast.copy_location(
+            ast.Subscript(value=node.target.value, slice=node.target.slice,
+                          ctx=ast.Load()), node)
+        rhs = ast.copy_location(
+            ast.BinOp(left=read, op=node.op, right=node.value), node)
+        return ast.copy_location(ast.Assign(targets=[node.target], value=rhs), node)
 
     def _build_compute_state(self, node: ast.Assign, loop_vars: set[str]) -> State:
         if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Subscript):

@@ -425,7 +425,8 @@ def _build_chunk_state(sdfg: SDFG, cand: _Candidate, symbols: set[str],
     for info in cand.tasklets:
         rewriter = _ChunkRewriter(sdfg, symbols, cand.a, cand.b, lo, hi)
         tree = rewriter.visit(ast.parse(info.tasklet.expr_source, mode="eval"))
-        source = ast.unparse(ast.fix_missing_locations(tree))
+        # unparse reads no locations, so the rewritten nodes need none
+        source = ast.unparse(tree)
         tasklet = state.add_node(Tasklet(
             f"{info.tasklet.label}_{suffix}", source,
             inputs=[m.data for m in rewriter.reads], output=info.tasklet.output))

@@ -103,11 +103,7 @@ from heapq import heappop, heappush
 from os.path import basename
 from typing import Any
 
-from repro.sim.stacked import (
-    Stacked,
-    emax as _emax,
-    members as _members,
-)
+from repro.sim.stacked import Stacked, emax as _emax
 
 __all__ = [
     "DeadlockError",
@@ -329,7 +325,7 @@ class Process:
         "gen", "name", "alive", "result", "error", "_joiners",
         "_waiting_on", "_waiting_flag", "_waiting_join", "_blocked_since",
         "_timeout", "_spawn_site", "_wait_epoch", "_finish_time",
-        "_blocked_seq", "__weakref__",
+        "__weakref__",
     )
 
     def __init__(self, gen: Generator[Any, Any, Any], name: str,
@@ -350,8 +346,6 @@ class Process:
         self._waiting_join: Process | None = None
         #: sim.now when the current blocking wait began (None when runnable)
         self._blocked_since: float | None = None
-        #: batched runs: joint dispatch seq of the current flag block
-        self._blocked_seq = 0
         #: pending WaitFlag timeout token, if any
         self._timeout: _TimeoutEntry | None = None
         #: (filename, lineno) of the spawn() call site
@@ -415,8 +409,7 @@ class Flag:
     """
 
     __slots__ = ("sim", "name", "_value", "_ge", "_eq", "_scan", "_wseq",
-                 "watch_budget_us", "_last_change", "_lcm_t", "_lcm_s",
-                 "__weakref__")
+                 "watch_budget_us", "_last_change", "__weakref__")
 
     def __init__(self, sim: "Simulator", value: int = 0, name: str = "flag") -> None:
         self.sim = sim
@@ -424,18 +417,10 @@ class Flag:
         self._value = value
         #: sim.now of the last effective mutation (None = initial value,
         #: which carries no time dependence).  Batched runs join this
-        #: into the wake time of an already-satisfied wait: the waiter
-        #: member that arrived before its release member waited there.
+        #: into the wake time of a woken or already-satisfied wait: the
+        #: member that arrived before its own release waited there.  It
+        #: is the flag's only batch state: batched runs record no metrics.
         self._last_change: Any = None
-        #: batched runs only: per-member time and joint seq of the
-        #: mutation that achieved the member's accumulated release time
-        #: (lexicographic max over the mutation history, kept as two
-        #: parallel lists to stay allocation-free on the hot path).  The
-        #: seq breaks member-time ties by joint dispatch order, which
-        #: the member's own per-point run reproduces for equal-time
-        #: events.
-        self._lcm_t: list[Any] | None = None
-        self._lcm_s: list[int] | None = None
         #: threshold waiters: heap of (threshold, wseq, proc, epoch)
         self._ge: list[tuple[Any, int, Process, int]] = []
         #: exact-value waiters: target value -> [(wseq, proc, epoch), ...]
@@ -488,31 +473,16 @@ class Flag:
         element-wise max over the mutation history — for a threshold
         crossed by the current mutation count (signals, barriers), each
         member's crossing is the max of *its* mutation times, which need
-        not belong to the pilot's latest mutation.
+        not belong to the pilot's latest mutation.  Only wake *times*
+        need this; batched runs record no metrics, so no per-member
+        wakeup tally is kept.
         """
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         last = self._last_change
         if last is None or (now.__class__ is float and last.__class__ is float):
             self._last_change = now
         else:
             self._last_change = _emax(now, last)
-        B = sim.batch_members
-        if B is not None:
-            seq = sim._order_seq = sim._order_seq + 1
-            nows = _members(now, B)
-            ts = self._lcm_t
-            if ts is None:
-                self._lcm_t = list(nows)
-                self._lcm_s = [seq] * B
-            else:
-                ss = self._lcm_s
-                for m in range(B):
-                    # seq is strictly increasing across mutations, so a
-                    # tie on time is always won by the current mutation.
-                    if nows[m] >= ts[m]:
-                        ts[m] = nows[m]
-                        ss[m] = seq
 
     def _wake(self) -> None:
         value = self._value
@@ -552,28 +522,6 @@ class Flag:
             return
         sim = self.sim
         monitor = sim.monitor
-        B = sim.batch_members
-        if B is not None:
-            # Per-member wakeup bookkeeping: a member whose arrival came
-            # after its release was satisfied at arrival in the
-            # equivalent per-point run and never counted a wakeup there.
-            vec = sim.flag_wakeups_m.get(self.name)
-            if vec is None:
-                vec = sim.flag_wakeups_m[self.name] = [0] * B
-            rel_t = self._lcm_t
-            rel_s = self._lcm_s
-            for _, proc in woken:
-                arr = _members(proc._blocked_since, B)
-                aseq = proc._blocked_seq
-                for m in range(B):
-                    # Lexicographic on (member time, joint seq): at a
-                    # member-time tie the per-point run dispatches the
-                    # equal-time events in joint order, so the seq says
-                    # whether that run saw the wait or the release first.
-                    am = arr[m]
-                    tm = rel_t[m]
-                    if am < tm or (am == tm and aseq < rel_s[m]):
-                        vec[m] += 1
         if len(woken) == 1:
             proc = woken[0][1]
             if monitor is not None:
@@ -757,14 +705,6 @@ class Simulator:
         self.n_callbacks = 0
         #: waiter resumptions per flag name
         self.flag_wakeups: dict[str, int] = {}
-        #: batched runs: member count of the config stack (None = scalar
-        #: run) and the per-member wakeup tallies that replace
-        #: ``flag_wakeups`` when metrics are demultiplexed
-        self.batch_members: int | None = None
-        self.flag_wakeups_m: dict[str, list[int]] = {}
-        #: joint program-order counter shared by flag mutations and
-        #: blocking waits — breaks member-time ties in wakeup accounting
-        self._order_seq = 0
 
     # -- process management -------------------------------------------------
 
@@ -1209,26 +1149,12 @@ class Simulator:
                 self._push(now, proc, value)
             else:
                 # Already-satisfied wait in a batched run: a member whose
-                # release came after its arrival resumed at the release —
-                # and counted a flag wakeup in the per-point run.
-                B = self.batch_members
-                if B is not None:
-                    nows = _members(now, B)
-                    lasts = _members(last, B)
-                    blocked = [m for m in range(B) if lasts[m] > nows[m]]
-                    if blocked:
-                        vec = self.flag_wakeups_m.get(flag.name)
-                        if vec is None:
-                            vec = self.flag_wakeups_m[flag.name] = [0] * B
-                        for m in blocked:
-                            vec[m] += 1
+                # release came after its arrival resumes at the release.
                 self._push(_emax(now, last), proc, value)
             return
         proc._waiting_on = (flag, value)
         proc._waiting_flag = flag
         proc._blocked_since = self.now
-        if self.batch_members is not None:
-            proc._blocked_seq = self._order_seq = self._order_seq + 1
         proc._wait_epoch += 1
         self._blocked += 1
         flag._wseq += 1

@@ -7,9 +7,10 @@ taking the same steps in the same order — with different numeric
 latencies.  :func:`run_batched_stencil` executes the whole group in a
 single discrete-event simulation whose clock carries one component per
 member (:mod:`repro.sim.stacked`), then demultiplexes the vector-valued
-timeline, metrics, and totals back into per-point
+timeline and totals back into per-point
 :class:`~repro.stencil.base.StencilResult` objects that are
-byte-identical to what the per-point path produces.
+byte-identical to what the per-point path produces.  A batched run
+records no metrics: the sweep runner runs metered sweeps per point.
 
 Any control-flow decision that would differ across members raises
 :class:`~repro.sim.stacked.BatchDivergence`; the sweep scheduler
@@ -22,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.obs.batch import BatchMetrics
 from repro.obs.metrics import use_metrics
 from repro.sim.stacked import (
     WAIT_SPAN,
@@ -141,13 +141,12 @@ def joint_total(ctx, total):
 def run_batched_stencil(
     variant_name: str,
     configs: Sequence[StencilConfig],
-    with_metrics: bool = True,
-) -> tuple[list[StencilResult], list[dict | None]]:
+) -> list[StencilResult]:
     """Run a batch group in one simulation; demux per-point results.
 
-    Returns ``(results, dumps)`` in member order, where each dump is the
-    metrics registry ``to_dict()`` the per-point path would have
-    produced (``None`` entries when ``with_metrics`` is false).
+    Returns the results in member order.  The run records no metrics,
+    even under an ambient registry: a batched run cannot reproduce the
+    per-point dumps, so metered sweeps run per point instead.
 
     Raises :class:`BatchDivergence` when the group violates a batching
     precondition or member control flow diverges mid-run — callers fall
@@ -167,37 +166,22 @@ def run_batched_stencil(
         # replace() re-resolved an ambient fault profile into the copy
         raise BatchDivergence("ambient fault profile active")
 
-    registry = BatchMetrics(B) if with_metrics else None
-    with use_metrics(registry):
+    with use_metrics(None):
         variant = VARIANTS[variant_name](cfg)
         sim = variant.ctx.sim
-        sim.batch_members = B
         # Mirror StencilVariant.run() step for step; the one difference
-        # is that totals/metrics/trace come out vector-valued and are
+        # is that totals and trace come out vector-valued and are
         # demultiplexed below instead of consumed directly.
         variant.setup()
         for rank in range(cfg.num_gpus):
             sim.spawn(variant.host_program(rank),
                       name=f"{variant.name}.host{rank}")
         total = joint_total(variant.ctx, variant.ctx.run())
-        m = variant.ctx.metrics
-        if m is not None:
-            m.counter("stencil.runs", variant=variant_name).inc()
-            m.counter("stencil.iterations", variant=variant_name).inc(
-                cfg.iterations
-            )
-            m.counter("stencil.sim_time_us", variant=variant_name).inc(total)
 
     tracers = demux_tracer(variant.tracer, B)
     totals = members(total, B)
-    results = [
+    return [
         StencilResult(variant=variant_name, config=configs[i],
                       total_time_us=totals[i], tracer=tracers[i])
         for i in range(B)
     ]
-    dumps: list[dict | None]
-    if registry is not None:
-        dumps = registry.dumps()
-    else:
-        dumps = [None] * B
-    return results, dumps

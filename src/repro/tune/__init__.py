@@ -34,6 +34,7 @@ from repro.bench.figures import (
     SIZE_CLASSES_2D,
     _stencil_point,
     weak_shape_2d,
+    win_loss,
 )
 from repro.core.specialization import SpecializationPlan
 from repro.perf import SweepRunner, active_runner
@@ -287,23 +288,10 @@ def win_loss_payload(sizes: tuple[str, ...] = ("small", "medium", "large"),
     ]
     rows = runner.map(_stencil_point, tasks)
     points: list[dict] = []
-    wins = ties = losses = 0
     it = iter(rows)
     for size in sizes:
         for gpus in gpu_counts:
             cf, ao = next(it), next(it)
-            # chunks==1 delegates to cpufree's exact body, so ties are
-            # bit-exact; anything inside float-noise of that is a tie
-            eps = 1e-9 * cf.per_iteration_us
-            if ao.per_iteration_us < cf.per_iteration_us - eps:
-                outcome = "win"
-                wins += 1
-            elif ao.per_iteration_us <= cf.per_iteration_us + eps:
-                outcome = "tie"
-                ties += 1
-            else:
-                outcome = "loss"
-                losses += 1
             points.append({
                 "size": size,
                 "gpus": gpus,
@@ -313,8 +301,10 @@ def win_loss_payload(sizes: tuple[str, ...] = ("small", "medium", "large"),
                 "auto_overlap_per_iteration_us": ao.per_iteration_us,
                 "cpufree_overlap_ratio": cf.overlap_ratio,
                 "auto_overlap_overlap_ratio": ao.overlap_ratio,
-                "outcome": outcome,
+                "outcome": win_loss(cf, ao),
             })
+    outcomes = [point["outcome"] for point in points]
+    wins, ties, losses = (outcomes.count(o) for o in ("win", "tie", "loss"))
     total = len(points)
     return {
         "format": WINLOSS_FORMAT,

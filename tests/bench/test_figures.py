@@ -169,6 +169,17 @@ class TestAutoOverlapFigure:
         assert {r.series for r in fig.rows} \
             == {"cpufree/small", "auto_overlap/small"}
 
+    def test_win_loss_rule_treats_float_noise_as_a_tie(self):
+        from repro.bench.figures import Row, win_loss
+
+        def row(us):
+            return Row("x", 8, us)
+
+        assert win_loss(row(100.0), row(99.0)) == "win"
+        assert win_loss(row(100.0), row(100.0 + 1e-8)) == "tie"
+        assert win_loss(row(100.0), row(100.0 - 1e-8)) == "tie"
+        assert win_loss(row(100.0), row(101.0)) == "loss"
+
 
 class TestListFigures:
     def test_lists_all_figures_without_running(self, capsys):

@@ -8,6 +8,7 @@ the figure report.
 import numpy as np
 
 from repro.bench.figures import _dace_1d_point, _stencil_point
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.perf import (
     ResultCache,
     SweepRunner,
@@ -151,6 +152,34 @@ class TestProfileSink:
         runner = SweepRunner(jobs=4, profile_sink=sink)
         assert runner.map(_square, [(1,), (2,), (3,)]) == [1, 4, 9]
         assert len(sink) == 3
+
+
+class TestBatchingUnderMetrics:
+    """Batched runs record no metrics, so a metered sweep runs per
+    point; without a registry the same group still fuses."""
+
+    def _metered(self, batch):
+        runner = SweepRunner(jobs=1, batch=batch)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            rows = runner.map(_stencil_point, _small_tasks())
+        return runner, rows, registry.to_json()
+
+    def test_metered_sweep_fuses_nothing_and_dumps_identically(self):
+        on, rows_on, dump_on = self._metered(batch=True)
+        off, rows_off, dump_off = self._metered(batch=False)
+        assert on.batch_points == on.batch_groups == on.batch_fallbacks == 0
+        assert rows_on == rows_off
+        assert dump_on == dump_off
+        assert "sim.flag.wakeups" in dump_on
+
+    def test_unmetered_sweep_still_fuses(self):
+        runner = SweepRunner(jobs=1, batch=True)
+        rows = runner.map(_stencil_point, _small_tasks())
+        assert (runner.batch_groups, runner.batch_points) == (2, 4)
+        assert runner.batch_fallbacks == 0
+        assert rows == SweepRunner(jobs=1, batch=False).map(
+            _stencil_point, _small_tasks())
 
 
 class TestActiveRunner:

@@ -2,12 +2,13 @@
 
 A batch group fuses sweep points that differ only in ``global_shape``
 into one vector-clock simulation.  Batching is pure scheduling — never
-a cost-model change — so for any group the demuxed per-point results,
-metrics dumps, and Chrome traces must be byte-identical to the
-per-point path, the sweep scheduler must produce identical rows with
-``batch`` on and off, and any group batching cannot soundly fuse (a
-fault profile's RNG substreams are per-point) must fall back rather
-than diverge.
+a cost-model change — so for any group the demuxed per-point results
+and Chrome traces must be byte-identical to the per-point path, the
+sweep scheduler must produce identical rows with ``batch`` on and off,
+and any group batching cannot soundly fuse (a fault profile's RNG
+substreams are per-point) must fall back rather than diverge.  A
+batched run records no metrics, even under an ambient registry:
+metered sweeps run per point.
 """
 
 import json
@@ -44,19 +45,10 @@ def _group_configs(case, fault_profile=None):
     return variant, configs
 
 
-def _per_point(variant, configs):
-    outs = []
-    for config in configs:
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            res = run_variant(variant, config)
-        outs.append((
-            res.total_time_us, res.comm_time_us, res.sync_time_us,
+def _observed(res):
+    return (res.total_time_us, res.comm_time_us, res.sync_time_us,
             res.api_time_us, res.overlap_ratio,
-            json.dumps(res.tracer.to_chrome_trace(), sort_keys=True),
-            registry.to_json(),
-        ))
-    return outs
+            json.dumps(res.tracer.to_chrome_trace(), sort_keys=True))
 
 
 class TestBatchedStencilEquivalence:
@@ -64,16 +56,13 @@ class TestBatchedStencilEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_demuxed_results_metrics_traces_identical(self, case):
         variant, configs = _group_configs(case)
-        want = _per_point(variant, configs)
-        results, dumps = run_batched_stencil(variant, configs)
-        got = [
-            (r.total_time_us, r.comm_time_us, r.sync_time_us,
-             r.api_time_us, r.overlap_ratio,
-             json.dumps(r.tracer.to_chrome_trace(), sort_keys=True),
-             json.dumps(d, sort_keys=True, indent=2) + "\n")
-            for r, d in zip(results, dumps)
-        ]
-        assert got == want
+        want = [_observed(run_variant(variant, config)) for config in configs]
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            results = run_batched_stencil(variant, configs)
+        assert [_observed(r) for r in results] == want
+        # the fused run records nothing, even into an ambient registry
+        assert registry.to_dict() == MetricsRegistry().to_dict()
 
     @given(batch_groups)
     @settings(max_examples=10, deadline=None)

@@ -182,7 +182,7 @@ class TestLazyMatchesEager:
         configs = [StencilConfig(global_shape=(rows * gpus, cols), num_gpus=gpus,
                                  iterations=2, with_data=False)
                    for rows in rows_list]
-        results, _ = run_batched_stencil(variant, configs, with_metrics=False)
+        results = run_batched_stencil(variant, configs)
         extra = Span("gpu0.extra", "late", "comm", 0.0, 1.0)
         for res, config, order in zip(results, configs, orders):
             tracer = res.tracer

@@ -13,7 +13,6 @@ from repro.stencil.batch import joint_total
 def test_item_on_pilot_idle_stream_waits_for_a_lagging_member():
     ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(1))
     sim = ctx.sim
-    sim.batch_members = 2
     stream = ctx.stream(0, "s")
     spans = []
 

@@ -29,7 +29,7 @@ def _configs():
 
 
 def test_fused_group_read_like_figures_builds_no_spans(span_count):
-    results, _ = run_batched_stencil("cpufree", _configs())
+    results = run_batched_stencil("cpufree", _configs())
     for res in results:
         assert res.comm_time_us > 0.0
         assert 0.0 <= res.overlap_ratio <= 1.0

@@ -3,7 +3,9 @@
 Nothing a simulator owns points back at it, so once the caller drops a
 run's result, its ``Simulator`` and ``MultiGPUContext`` go at once,
 with the cycle collector off: peak memory never waits for a collection.
-The same holds for a compiled SDFG, its regions and its states.
+The same holds for a compiled SDFG, its regions and its states, and
+for the compiler and metric helpers: a compile plus auto-overlap pass
+and a metrics flatten leave no garbage for the collector at all.
 """
 
 import gc
@@ -17,6 +19,7 @@ import repro.stencil.variants  # noqa: F401 - populate the registry
 from repro.bench import figures
 from repro.faults.harness import run_cell
 from repro.hw import HGX_A100_8GPU
+from repro.obs.diff import flatten_metrics
 from repro.recover import run_with_recovery
 from repro.runtime import MultiGPUContext
 from repro.sanitize import attach_sanitizer, detect_races
@@ -28,6 +31,7 @@ from repro.sdfg.programs import (
     build_jacobi_1d_sdfg,
     cpufree_pipeline,
 )
+from repro.sdfg.transforms.overlap import auto_overlap
 from repro.sim import Simulator, Tracer
 from repro.stencil import StencilConfig
 from repro.stencil.base import VARIANTS
@@ -41,8 +45,7 @@ def _timing(shape, **kw):
 
 def _batched_point():
     rows = figures._run_stencil_group(
-        [("cpufree", _timing((66, 130))), ("cpufree", _timing((130, 130)))],
-        with_metrics=False)
+        [("cpufree", _timing((66, 130))), ("cpufree", _timing((130, 130)))])
     return len(rows) == 2
 
 
@@ -138,3 +141,31 @@ def test_compiled_sdfg_is_freed_without_the_cycle_collector(pipeline):
     assert "for t in" in described
     assert len(refs) > 3
     assert alive == []
+
+
+def _compile_and_overlap():
+    sdfg = build_jacobi_1d_sdfg()
+    cpufree_pipeline(sdfg, CONJUGATES_1D)
+    return auto_overlap(sdfg, chunks=2) == 1
+
+
+HELPERS = {
+    "compile-auto-overlap": _compile_and_overlap,
+    "flatten-metrics": lambda: flatten_metrics(
+        {"sim": {"events": 3, "flag": {"wakeups": 1.0}}}) == {
+            "sim.events": 3.0, "sim.flag.wakeups": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", HELPERS)
+def test_helper_leaves_no_cycles(name):
+    HELPERS[name]()  # warm caches and lazy imports outside the count
+    gc.collect()
+    gc.disable()
+    try:
+        ran_as_intended = HELPERS[name]()
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert ran_as_intended
+    assert garbage == 0

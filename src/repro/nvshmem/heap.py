@@ -16,7 +16,6 @@ DES: each signal word is a :class:`repro.sim.Flag`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -24,8 +23,7 @@ import numpy as np
 from repro.hw.memory import DeviceBuffer, MemoryManager, Storage
 from repro.sim import Flag, Simulator
 
-__all__ = ["HeapSnapshot", "SignalArray", "SymmetricArray", "SymmetricHeap",
-           "element_range"]
+__all__ = ["SignalArray", "SymmetricArray", "SymmetricHeap", "element_range"]
 
 #: (shape, repr(index)) -> flat [lo, hi) covering interval; index
 #: expressions in stencil code are a handful of slices reused every
@@ -178,73 +176,10 @@ class SymmetricHeap:
     def get(self, name: str) -> SymmetricArray:
         return self._arrays[name]
 
-    # -- checkpoints ----------------------------------------------------------
-
-    def snapshot(self, epoch: int) -> "HeapSnapshot":
-        """Deep-copy the whole symmetric state: every allocation's
-        per-PE buffer plus every signal word's value, tagged with a
-        checkpoint ``epoch``.  Deterministic: allocations iterate in
-        sorted-name order, PEs in rank order."""
-        arrays = {
-            name: tuple(arr.local(pe).copy() for pe in range(arr.n_pes))
-            for name, arr in sorted(self._arrays.items())
-        }
-        signals = {
-            name: tuple(
-                tuple(sig.value(pe, i) for i in range(sig.n_signals))
-                for pe in range(sig.n_pes)
-            )
-            for name, sig in sorted(self._signals.items())
-        }
-        return HeapSnapshot(epoch=epoch, arrays=arrays, signals=signals)
-
-    def restore(self, snap: "HeapSnapshot", pes: Any = None) -> None:
-        """Write a snapshot back into the live heap (all PEs, or only
-        those in ``pes`` — a restarted PE recovers *its* segments while
-        survivors keep their newer state until rollback aligns them).
-
-        Restoring a snapshot taken from a different heap layout is a
-        hard error: allocations must match by name and shape.
-        """
-        selected = None if pes is None else set(pes)
-        for name, copies in snap.arrays.items():
-            arr = self._arrays.get(name)
-            if arr is None:
-                raise KeyError(f"snapshot has unknown symmetric array {name!r}")
-            if len(copies) != arr.n_pes or copies[0].shape != arr.shape:
-                raise ValueError(
-                    f"snapshot/heap layout mismatch for {name!r}: "
-                    f"{len(copies)} PEs of {copies[0].shape} vs "
-                    f"{arr.n_pes} PEs of {arr.shape}")
-            for pe in range(arr.n_pes):
-                if selected is None or pe in selected:
-                    arr.local(pe)[...] = copies[pe]
-        for name, per_pe in snap.signals.items():
-            sig = self._signals.get(name)
-            if sig is None:
-                raise KeyError(f"snapshot has unknown signal array {name!r}")
-            for pe in range(sig.n_pes):
-                if selected is None or pe in selected:
-                    for i, value in enumerate(per_pe[pe]):
-                        sig.flag(pe, i).set(value)
-
-
-@dataclass(frozen=True, eq=False)
-class HeapSnapshot:
-    """An epoch-tagged deep copy of a :class:`SymmetricHeap`'s state.
-
-    ``arrays`` maps allocation name -> per-PE NumPy copies; ``signals``
-    maps signal-array name -> per-PE tuples of signal-word values.
-    ``eq=False``: identity comparison only — content comparison is the
-    tests' job (NumPy arrays make ``==`` elementwise).
-    """
-
-    epoch: int
-    arrays: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
-    signals: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
-
     @property
     def nbytes(self) -> int:
-        """Total checkpoint payload size (the simulated checkpoint cost
-        driver: what a real implementation would write to NVMe/host)."""
-        return sum(c.nbytes for copies in self.arrays.values() for c in copies)
+        """Payload bytes of every symmetric allocation on every PE
+        (signal words excluded): what a checkpoint of the heap would
+        write to NVMe/host."""
+        return sum(arr.local(pe).nbytes for arr in self._arrays.values()
+                   for pe in range(arr.n_pes))

@@ -295,12 +295,11 @@ class SweepRunner:
                 value = results[i] = (value[0], value[1].to_dict())
             self.cache.put(keys[i], value)
 
-        if pending:
-            adapter = (adapter_for(fn)
-                       if self.batch and self.profile_sink is None
-                       and not with_metrics else None)
+        if pending and self.profile_sink is None:
+            pending, dup_of = _dedupe_pending(argtuples, pending)
+            adapter = (adapter_for(fn) if self.batch and not with_metrics
+                       else None)
             if adapter is not None:
-                pending, dup_of = _dedupe_pending(argtuples, pending)
                 pending = self._run_batch_groups(
                     adapter, argtuples, pending, results, idents,
                     on_done=store)

@@ -3,9 +3,10 @@
 The missing piece of the CPU-free model's robustness story: the paper
 moves all control onto the GPUs, so a dead PE takes the whole autonomous
 execution graph with it.  This package recovers such runs from periodic
-symmetric-heap checkpoints — see :mod:`repro.recover.runner` for the
-protocol and its determinism argument, and ``python -m repro.recover``
-for the CLI that demonstrates recovered-vs-clean byte-identity.
+checkpoints of the gathered field, keeping only the latest one's field
+— see :mod:`repro.recover.runner` for the protocol and its determinism
+argument, and ``python -m repro.recover`` for the CLI that demonstrates
+recovered-vs-clean byte-identity.
 """
 
 from repro.recover.checkpoint import Checkpoint, CheckpointStore

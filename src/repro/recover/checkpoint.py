@@ -1,27 +1,30 @@
 """Epoch-tagged checkpoints for fail-stop recovery.
 
-A checkpoint is everything needed to restart the computation from an
-iteration boundary: the gathered global field (the logical state of the
-distributed double buffers) plus, when the variant runs on NVSHMEM, a
-deep :class:`~repro.nvshmem.heap.HeapSnapshot` of every symmetric
-allocation and signal word.  Checkpoints are taken at *quiescent*
-points — segment boundaries where every PE has passed the same
-iteration count and no deliveries are in flight — which is what makes
-restart-from-checkpoint deterministic: the restarted segment sees
-exactly the state a fresh run of the remaining iterations would.
+A checkpoint is what a restart reads: the gathered global field (the
+logical state of the distributed double buffers) at an iteration
+boundary.  The restarted segment rescatters that field into both
+parities of every PE's buffers, symmetric ones included, so no copy of
+the symmetric heap is kept; its payload size still counts towards a
+checkpoint's ``nbytes`` (what a real implementation would write).
+Checkpoints are taken at *quiescent* points — segment boundaries where
+every PE has passed the same iteration count and no deliveries are in
+flight — which is what makes restart-from-checkpoint deterministic: the
+restarted segment sees exactly the state a fresh run of the remaining
+iterations would.
 
-The store is in-memory: the simulated machine's "NVMe" target.  What
-would be durable-media cost in a real system is charged in simulated
-time by the recovery runner (``restart_cost_us``), not modeled here.
+The store is in-memory: the simulated machine's "NVMe" target.  A
+restart only ever reads the latest checkpoint, so only the latest one
+holds its field; older records keep their epoch, iteration, time and
+byte count.  What would be durable-media cost in a real system is
+charged in simulated time by the recovery runner (``restart_cost_us``),
+not modeled here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from repro.nvshmem.heap import HeapSnapshot
 
 __all__ = ["Checkpoint", "CheckpointStore"]
 
@@ -34,25 +37,21 @@ class Checkpoint:
     restartable by construction); ``iteration`` is the global iteration
     count the state corresponds to; ``sim_time_us`` is the accumulated
     clean simulated time up to this point (global clock, not
-    segment-local).
+    segment-local); ``nbytes`` is the field plus the symmetric heap
+    payload.  ``state`` is the field, or None once a newer checkpoint
+    superseded this one.
     """
 
     epoch: int
     iteration: int
-    state: np.ndarray
     sim_time_us: float
-    heap: HeapSnapshot | None = None
-
-    @property
-    def nbytes(self) -> int:
-        total = int(self.state.nbytes)
-        if self.heap is not None:
-            total += self.heap.nbytes
-        return total
+    nbytes: int
+    state: np.ndarray | None = None
 
 
 class CheckpointStore:
-    """Append-only sequence of checkpoints, newest last."""
+    """Sequence of checkpoints, newest last; only the newest holds its
+    field."""
 
     def __init__(self) -> None:
         self._checkpoints: list[Checkpoint] = []
@@ -61,15 +60,19 @@ class CheckpointStore:
         return len(self._checkpoints)
 
     def save(self, iteration: int, state: np.ndarray, sim_time_us: float,
-             heap: HeapSnapshot | None = None) -> Checkpoint:
-        """Record a checkpoint; the state is deep-copied so later
-        segment runs cannot mutate a recovery point in place."""
+             heap_bytes: int = 0) -> Checkpoint:
+        """Record a checkpoint of ``state`` plus ``heap_bytes`` of
+        symmetric heap.  The superseded checkpoint's field is released
+        first; the new state is deep-copied so later segment runs
+        cannot mutate a recovery point in place."""
+        if self._checkpoints:
+            self._checkpoints[-1] = replace(self._checkpoints[-1], state=None)
         ckpt = Checkpoint(
             epoch=len(self._checkpoints),
             iteration=iteration,
-            state=np.array(state, copy=True),
             sim_time_us=sim_time_us,
-            heap=heap,
+            nbytes=int(state.nbytes) + heap_bytes,
+            state=np.array(state, copy=True),
         )
         self._checkpoints.append(ckpt)
         return ckpt

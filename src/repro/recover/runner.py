@@ -2,10 +2,10 @@
 
 The run is split into *segments* of ``checkpoint_every`` iterations.
 Each segment executes on a fresh simulator seeded from the previous
-checkpoint's state; at the segment boundary every PE is quiescent (same
-iteration count, no in-flight deliveries), so the gathered field plus a
-:class:`~repro.nvshmem.heap.HeapSnapshot` forms a consistent global
-checkpoint.  When a PE dies mid-segment:
+checkpoint's field; at the segment boundary every PE is quiescent (same
+iteration count, no in-flight deliveries), so the gathered field is a
+consistent global checkpoint.  Only the latest checkpoint keeps its
+field, and every segment starts from it.  When a PE dies mid-segment:
 
 1. **Detection.**  Every PE pumps a heartbeat signal word each
    ``heartbeat_us`` (weak calendar events — they never extend the
@@ -44,7 +44,7 @@ from repro.faults.inject import use_crash_context
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import get_plan
 from repro.nvshmem.heap import SignalArray
-from repro.recover.checkpoint import Checkpoint, CheckpointStore
+from repro.recover.checkpoint import CheckpointStore
 
 __all__ = [
     "PECrashDetected",
@@ -101,7 +101,7 @@ class RecoveryManager:
         n = instance.config.num_gpus
         self.heartbeat_us = plan.heartbeat_us
         #: one signal word per PE; standalone (not on the symmetric
-        #: heap) so heartbeats never leak into heap checkpoints
+        #: heap) so heartbeats never touch the variant's heap
         self.signals = SignalArray(self.sim, "recover.heartbeat", n, 1)
         self.beats = [0] * n
         if faults is not None and plan.crashes:
@@ -227,7 +227,6 @@ def run_with_recovery(
         segments.append(config.iterations % every)
 
     store = CheckpointStore()
-    state: np.ndarray | None = None
     consumed: set[int] = set()
     base_us = 0.0
     attempts: list[dict] = []
@@ -246,11 +245,10 @@ def run_with_recovery(
             seg_config = replace(config, iterations=seg_iters)
             with use_crash_context(base_us, frozenset(consumed)):
                 instance = variant_cls(seg_config)
-            if state is None:
-                state = instance.initial  # epoch-0 checkpoint: the scatter
-                store.save(0, state, 0.0)
-            else:
-                instance.initial = state
+            if store.latest is None:
+                # epoch-0 checkpoint: the scatter
+                store.save(0, instance.initial, 0.0)
+            instance.initial = store.latest.state
             manager = RecoveryManager(instance, plan)
             attempt = {"segment": seg_index, "iterations": seg_iters,
                        "start_iteration": iter_done, "base_us": base_us}
@@ -284,6 +282,7 @@ def run_with_recovery(
                         "recover:restart", exc.detect_t, category="recover",
                         args={"pe": exc.pe, "epoch": store.latest.epoch,
                               "restart_cost_us": plan.restart_cost_us})
+                instance = manager = None
                 continue  # re-run this segment from the checkpoint
             # clean segment: advance the checkpoint chain
             if instance.faults is not None:
@@ -292,30 +291,32 @@ def run_with_recovery(
                 for pe, t in instance.faults.crashed.items():
                     consumed.add(pe)
                     crashed_pes.setdefault(pe, base_us + t)
-            state = res.result
             base_us += res.total_time_us
             iter_done += seg_iters
-            snap = (instance.nvshmem.heap.snapshot(epoch=len(store))
-                    if instance.nvshmem is not None else None)
-            store.save(iter_done, state, base_us, heap=snap)
             if instance.tracer is not None:
                 instance.tracer.add_instant(
                     "recover:checkpoint", res.total_time_us, category="recover",
-                    args={"epoch": len(store) - 1, "iteration": iter_done,
+                    args={"epoch": len(store), "iteration": iter_done,
                           "sim_time_us": base_us})
             attempt.update(status="ok", sim_time_us=res.total_time_us)
             attempts.append(attempt)
             last_metrics = instance.ctx.metrics
             last_faults = (instance.faults.summary()
                            if instance.faults is not None else None)
+            heap_bytes = (instance.nvshmem.heap.nbytes
+                          if instance.nvshmem is not None else 0)
+            result = res.result
+            # Release this segment before its result is copied into the
+            # store: its context (heap, buffers, trace) is not needed
+            # past its checkpoint.
+            instance = manager = res = None
+            store.save(iter_done, result, base_us, heap_bytes)
+            result = None
             break
-        # Release this segment before the next is built: its context
-        # (heap, buffers, trace) is not needed past its checkpoint.
-        instance = manager = res = None
 
     outcome = RecoveryOutcome(
         variant=variant_cls.name,
-        result=state,
+        result=store.latest.state,
         total_time_us=base_us,
         iterations=config.iterations,
         checkpoint_every=every,

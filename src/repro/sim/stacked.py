@@ -45,7 +45,6 @@ __all__ = [
     "emax",
     "members",
     "pilot",
-    "stacked_time",
     "stacked_val",
 ]
 
@@ -259,12 +258,6 @@ def stacked_val(values) -> Stacked:
     """Stack per-member config values into a :class:`BatchVal`."""
     values = tuple(values)
     return batch_classes(len(values))[0](values)
-
-
-def stacked_time(values) -> Stacked:
-    """Stack per-member timestamps into a :class:`BatchTime`."""
-    values = tuple(values)
-    return batch_classes(len(values))[1](values)
 
 
 # ---------------- runtime helpers (engine / demux) ----------------

@@ -201,13 +201,7 @@ class StencilVariant(abc.ABC):
             config.cost.mpi_barrier_us(config.num_gpus),
             name="stencil.host",
         )
-        # Full-domain initial data is only materialized when the run
-        # actually computes on it; timing-only sweeps skip the (large)
-        # allocation entirely.
-        self.initial = (
-            default_initial(config.global_shape, config.seed)
-            if config.with_data else None
-        )
+        self._initial: np.ndarray | None = None
         #: per-rank [parity0, parity1] NumPy views (None when data disabled)
         self.arrays: list[list[np.ndarray]] | None = None
         #: per-rank [parity0, parity1] DeviceBuffers (regular-memory variants)
@@ -215,6 +209,20 @@ class StencilVariant(abc.ABC):
         #: [parity0, parity1] SymmetricArrays (NVSHMEM variants)
         self.sym: list[SymmetricArray] | None = None
         self.halo_nbytes = self.decomp.halo_elements * 8
+
+    @property
+    def initial(self) -> np.ndarray | None:
+        """The full-domain initial field, built on first read.  Timing-only
+        runs never allocate it; a caller that assigns its own field (a
+        recovery restart) never pays for the default one."""
+        if self._initial is None and self.config.with_data:
+            self._initial = default_initial(self.config.global_shape,
+                                            self.config.seed)
+        return self._initial
+
+    @initial.setter
+    def initial(self, field: np.ndarray) -> None:
+        self._initial = field
 
     # -- buffer setup -----------------------------------------------------------
 

@@ -182,6 +182,38 @@ class TestBatchingUnderMetrics:
             _stencil_point, _small_tasks())
 
 
+_CALLS = []
+
+
+def _counted_stencil_point(variant, config):
+    _CALLS.append((variant, config))
+    return _stencil_point(variant, config)
+
+
+class TestMeteredDedupe:
+    """Any sweep that is not profiled computes a repeated argtuple once;
+    under metrics its registry is merged once per occurrence, so the
+    dump equals computing the point twice."""
+
+    def test_metered_duplicate_computed_once(self):
+        tasks = _small_tasks()
+        tasks = tasks + [tasks[0]]
+        _CALLS.clear()
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            rows = SweepRunner(jobs=1, batch=False).map(
+                _counted_stencil_point, tasks)
+        assert len(_CALLS) == len(tasks) - 1
+        assert rows[-1] == rows[0] and rows[-1] is not rows[0]
+
+        twice = MetricsRegistry()
+        with use_metrics(twice):
+            runner = SweepRunner(jobs=1, batch=False)
+            alone = [runner.map(_stencil_point, [args])[0] for args in tasks]
+        assert rows == alone
+        assert registry.to_json() == twice.to_json()
+
+
 class TestActiveRunner:
     def test_default_runner_is_serial_uncached(self):
         runner = active_runner()

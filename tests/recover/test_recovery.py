@@ -1,8 +1,9 @@
 """Checkpoint/restart recovery: byte-identity, time accounting,
-heap snapshots, and the unrecoverable diagnostic."""
+checkpoint payloads, and the unrecoverable diagnostic."""
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.recover import (
 )
 from repro.stencil import StencilConfig, jacobi_reference
 from repro.stencil.base import VARIANTS, default_initial
+from repro.stencil.grid import SlabDecomposition
 
 SHAPE = (34, 66)
 ITERATIONS = 6
@@ -204,55 +206,50 @@ class TestUnrecoverable:
 
 
 class TestHeapSnapshot:
-    @staticmethod
-    def _heap(n_pes):
-        from repro.hw.memory import MemoryManager
-        from repro.nvshmem.heap import SymmetricHeap
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        return SymmetricHeap(MemoryManager(num_gpus=n_pes), sim, n_pes)
-
-    def test_snapshot_restore_round_trip(self):
-        heap = self._heap(2)
-        arr = heap.malloc("field", (4,), dtype=np.float64)
-        sig = heap.malloc_signals("sync", 2)
-        arr.local(0)[:] = [1.0, 2.0, 3.0, 4.0]
-        arr.local(1)[:] = [5.0, 6.0, 7.0, 8.0]
-        sig.flag(0, 0).set(3)
-        snap = heap.snapshot(epoch=0)
-        arr.local(0)[:] = 0.0
-        sig.flag(0, 0).set(99)
-        heap.restore(snap)
-        np.testing.assert_array_equal(arr.local(0), [1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(arr.local(1), [5.0, 6.0, 7.0, 8.0])
-        assert sig.flag(0, 0).value == 3
-
-    def test_snapshot_is_deep(self):
-        heap = self._heap(1)
-        arr = heap.malloc("field", (2,), dtype=np.float64)
-        arr.local(0)[:] = [1.0, 2.0]
-        snap = heap.snapshot(epoch=0)
-        arr.local(0)[:] = [9.0, 9.0]
-        np.testing.assert_array_equal(snap.arrays["field"][0], [1.0, 2.0])
-
-    def test_restore_rejects_shape_mismatch(self):
-        heap = self._heap(1)
-        heap.malloc("field", (2,), dtype=np.float64)
-        snap = heap.snapshot(epoch=0)
-        other = self._heap(1)
-        other.malloc("field", (3,), dtype=np.float64)
-        with pytest.raises(ValueError):
-            other.restore(snap)
-
     def test_nvshmem_variant_checkpoints_capture_heap(self):
-        outcome = run_with_recovery(VARIANTS["cpufree"], _config(None),
+        config = _config(None)
+        outcome = run_with_recovery(VARIANTS["cpufree"], config,
                                     checkpoint_every=3)
         # epoch 0 is the pre-run scatter (no heap yet); later epochs
-        # snapshot the symmetric heap
-        later = outcome.store._checkpoints[1:]
-        assert later and all(c.heap is not None for c in later)
-        assert all(c.heap.nbytes > 0 for c in later)
+        # count the symmetric heap: two parities of the padded slab on
+        # every PE
+        decomp = SlabDecomposition(SHAPE, config.num_gpus)
+        rows = max(decomp.chunk_rows(r) for r in range(config.num_gpus)) + 2
+        field_bytes = SHAPE[0] * SHAPE[1] * 8
+        heap_bytes = 2 * config.num_gpus * rows * SHAPE[1] * 8
+        first, *later = outcome.store._checkpoints
+        assert first.nbytes == field_bytes
+        assert later and all(c.nbytes == field_bytes + heap_bytes
+                             for c in later)
+
+
+class TestOnePayload:
+    """A restart reads only the latest checkpoint's field, so the store
+    holds only that one, and recovery memory does not grow with the
+    number of segments."""
+
+    CONFIG = _config(None, global_shape=(258, 130), iterations=8)
+
+    def _traced(self, every):
+        tracemalloc.start()
+        try:
+            outcome = run_with_recovery(VARIANTS["cpufree"], self.CONFIG,
+                                        checkpoint_every=every)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return outcome, peak
+
+    def test_one_field_held_and_peak_flat_in_segments(self):
+        _, peak_2 = self._traced(4)
+        outcome, peak_8 = self._traced(1)
+        store = outcome.store
+        assert len(store) == 9
+        held = [c.epoch for c in store._checkpoints if c.state is not None]
+        assert held == [store.latest.epoch]
+        assert outcome.result is store.latest.state
+        np.testing.assert_array_equal(outcome.result, _reference(self.CONFIG))
+        assert peak_8 <= peak_2 + outcome.result.nbytes, (peak_2, peak_8)
 
 
 class TestStoreUnit:

@@ -52,3 +52,32 @@ class TestDefaultInitial:
     def test_seed_determinism(self):
         assert np.array_equal(default_initial((8, 8), 5), default_initial((8, 8), 5))
         assert not np.array_equal(default_initial((8, 8), 5), default_initial((8, 8), 6))
+
+
+class TestLazyInitial:
+    """The default field is built on first read, so a timing-only run
+    and a run handed its own field never build it."""
+
+    @staticmethod
+    def _variant(**kw):
+        import repro.stencil.variants  # noqa: F401 - populate the registry
+        from repro.stencil.base import VARIANTS
+
+        return VARIANTS["cpufree"](StencilConfig(
+            global_shape=(18, 10), num_gpus=2, iterations=3, **kw))
+
+    def test_timing_only_run_builds_no_field(self, monkeypatch):
+        monkeypatch.setattr("repro.stencil.base.default_initial", None)
+        variant = self._variant(with_data=False)
+        assert variant.run().result is None
+        assert variant.initial is None
+
+    def test_assigned_field_is_used_and_default_never_built(self, monkeypatch):
+        from repro.stencil import jacobi_reference
+
+        field = default_initial((18, 10), seed=7)
+        monkeypatch.setattr("repro.stencil.base.default_initial", None)
+        variant = self._variant()
+        variant.initial = field
+        np.testing.assert_array_equal(variant.run().result,
+                                      jacobi_reference(field, 3))

@@ -41,7 +41,7 @@ from repro.bench.figures import (
     fig_auto_overlap,
     fig_multinode_weak,
 )
-from repro.bench.report import history_fields, render_figure
+from repro.bench.report import render_figure
 from repro.cliutil import cli_entry
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.perf import ResultCache, SweepRunner, use_runner
@@ -165,21 +165,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(e.g. transient or transient@7); the profile is "
                              "recorded in the metrics dump and in the report "
                              "header")
-    parser.add_argument("--history", type=str, default=None, metavar="PATH",
-                        help="append one perf-history record per sweep point "
-                             "to this JSONL file (read back by "
-                             "`python -m repro.obs regress`); needs "
-                             "--run-label")
-    parser.add_argument("--run-label", type=str, default=None, metavar="NAME",
-                        help="history run label for this invocation (e.g. a "
-                             "git SHA, or base/check in CI)")
-    parser.add_argument("--progress", action="store_true",
-                        help="narrate sweep progress on stderr with a running "
-                             "counter and, when --history has prior runs, an "
-                             "ETA from per-point median wall times")
-    parser.add_argument("--progress-out", type=str, default=None, metavar="PATH",
-                        help="stream machine-readable progress events (one "
-                             "JSON object per line) to PATH")
     args = parser.parse_args(argv)
 
     if args.list_figures:
@@ -199,39 +184,9 @@ def main(argv: list[str] | None = None) -> int:
 
     jobs = 1 if (args.profile or args.profile_out) else args.jobs
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.history and not args.run_label:
-        parser.error("--history needs --run-label to name this run's records")
-    sinks = []
-    progress_fh = None
-    history_sink = None
-    if args.progress_out:
-        from repro.obs.progress import JsonlProgress
-
-        progress_fh = open(args.progress_out, "w")
-        sinks.append(JsonlProgress(progress_fh))
-    if args.progress:
-        from repro.obs.history import HistoryStore
-        from repro.obs.progress import TtyProgress
-
-        medians = (HistoryStore(args.history).wall_medians()
-                   if args.history else None)
-        sinks.append(TtyProgress(eta_medians=medians))
-    if args.history:
-        from repro.obs.history import HistoryStore
-        from repro.obs.progress import HistorySink
-
-        history_sink = HistorySink(HistoryStore(args.history), args.run_label,
-                                   profile=args.fault_profile,
-                                   extract=history_fields)
-        sinks.append(history_sink)
-    progress = None
-    if sinks:
-        from repro.obs.progress import MultiSink
-
-        progress = MultiSink(*sinks)
     profile_sink: list[tuple[str, str]] | None = [] if args.profile_out else None
     runner = SweepRunner(jobs=jobs, cache=cache, profile_sink=profile_sink,
-                         batch=args.batch, progress=progress)
+                         batch=args.batch)
     profiler = None
     if args.profile:
         import cProfile
@@ -310,12 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         stats.sort_stats("cumulative")
         print(f"(profile written to {args.profile}; top functions:)")
         stats.print_stats(10)
-    if progress_fh is not None:
-        progress_fh.close()
-        print(f"(progress events streamed to {args.progress_out})")
-    if history_sink is not None:
-        print(f"({history_sink.recorded} history record(s) appended to "
-              f"{args.history} as run {args.run_label!r})")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report)

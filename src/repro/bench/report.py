@@ -3,35 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from repro.bench.figures import FigureData
 
-__all__ = ["history_fields", "render_figure"]
-
-
-def history_fields(result: Any) -> dict[str, Any]:
-    """Perf-history record fields for one sweep point's value.
-
-    Accepts a figure :class:`~repro.bench.figures.Row` or the ``(row,
-    metrics dump)`` pair a metrics-collecting sweep yields.  On top of
-    the generic numeric fields (simulated per-iteration time, comm
-    time, overlap, metrics digest) it labels the record with the row's
-    series name and GPU count, so history files stay greppable without
-    decoding point identities.
-    """
-    from repro.obs.progress import default_fields
-
-    fields = default_fields(result)
-    row = (result[0] if isinstance(result, tuple) and len(result) == 2
-           else result)
-    series = getattr(row, "series", None)
-    if isinstance(series, str):
-        fields["series"] = series
-    x = getattr(row, "x", None)
-    if isinstance(x, int):
-        fields["gpus"] = x
-    return fields
+__all__ = ["render_figure"]
 
 
 def _headline(value: float) -> str:

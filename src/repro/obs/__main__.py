@@ -9,7 +9,7 @@ Usage::
     python -m repro.obs critical-path --iterations 8
     python -m repro.obs timeline --variant cpufree --gpus 4
     python -m repro.obs whatif --scale comm=0.5
-    python -m repro.obs regress perf-history.jsonl --rtol 0.05
+    python -m repro.obs regress h.jsonl --field pass_s --rtol 0.10
     python -m repro.obs diff old.json new.json --threshold 0.05
 
 The run subcommands (``summary`` / ``links`` / ``ops`` /
@@ -29,8 +29,8 @@ or a ``wire.pe0->*``-style link pattern) probes one custom scenario
 instead of the default x2 sweep.
 
 ``regress`` compares two runs out of a perf-history JSONL file
-(written by ``python -m repro.bench --history``) and exits 1 when any
-point's median moved past its noise tolerance in the bad direction.
+(written by ``python -m benchmarks.harness run --history``) and exits 1
+when any workload's median grew past the relative tolerance.
 
 ``diff`` compares two metric dumps (registry dumps or any nested JSON
 of numbers, e.g. ``BENCH_*.json``) and exits with status 1 when any
@@ -236,27 +236,13 @@ def _regress_command(args: argparse.Namespace) -> int:
     from repro.obs.history import HistoryStore, regress, regress_table
 
     store = HistoryStore(args.history)
-    rtol_for = dict(args.rtol_for or [])
     try:
         report = regress(store, run=args.run, baseline=args.baseline,
-                         field_name=args.field, rtol=args.rtol,
-                         rtol_for=rtol_for)
+                         field_name=args.field, rtol=args.rtol)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     print(regress_table(report, show_ok=args.show_ok))
     return 1 if report.regressions else 0
-
-
-def _parse_rtol_for(text: str) -> tuple[str, float]:
-    pattern, sep, tol = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(
-            f"bad per-point tolerance {text!r}: expected PATTERN=RTOL")
-    try:
-        return pattern, float(tol)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad tolerance {tol!r} in {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -285,21 +271,17 @@ def main(argv: list[str] | None = None) -> int:
                              help="write the byte-stable what-if JSON to PATH")
     regress_p = subparsers.add_parser("regress")
     regress_p.add_argument("history", help="perf-history JSONL file "
-                           "(python -m repro.bench --history)")
+                           "(python -m benchmarks.harness run --history)")
     regress_p.add_argument("--run", default=None,
                            help="run label to judge (default: latest in file)")
     regress_p.add_argument("--baseline", default=None,
                            help="baseline run label (default: first other run)")
-    regress_p.add_argument("--field", default="per_iter_us",
-                           help="record field to compare (default: per_iter_us)")
+    regress_p.add_argument("--field", default="pass_s",
+                           help="record field to compare, lower is better "
+                                "(default: pass_s)")
     regress_p.add_argument("--rtol", type=float, default=0.05,
-                           help="relative tolerance before a move in the bad "
-                                "direction counts as a regression "
-                                "(default: 0.05)")
-    regress_p.add_argument("--rtol-for", type=_parse_rtol_for, action="append",
-                           default=[], metavar="PATTERN=RTOL",
-                           help="per-point tolerance override, fnmatch over "
-                                "point ids (repeatable; last match wins)")
+                           help="relative increase that counts as a "
+                                "regression (default: 0.05)")
     regress_p.add_argument("--show-ok", action="store_true",
                            help="also list points that did not regress")
     diff = subparsers.add_parser("diff")

@@ -1,19 +1,18 @@
-"""Append-only perf history keyed by point identity.
+"""Append-only perf history keyed by record id.
 
-Every sweep point already has a source-independent name — its
-:func:`~repro.perf.cache.point_identity`.  This module turns
-runs into a *trajectory*: each run appends one JSONL record per point
-(simulated per-iteration time, overlap fraction, wall time, metrics
-digest), and ``repro.obs regress`` compares two runs with noise-aware
-thresholds.
+This module turns runs into a *trajectory*: each run appends one JSONL
+record per measured id, and ``repro.obs regress`` compares two runs
+with a relative tolerance.  The writer is the benchmark harness
+(``python -m benchmarks.harness run --history PATH --run-label L``):
+its ids are workload names and its fields are ``setup_s``, ``pass_s``
+and ``peak_rss_mb``, all lower-is-better.
 
 Design rules:
 
 **Append-only JSONL.**  One compact, key-sorted JSON object per line.
 Appending never rewrites history, concurrent readers see a prefix, and
 the file diffs/merges like a log.  Records carry a ``run`` label
-(``--run-label``, e.g. a git SHA or ``base``/``check``) and the
-normalized point ``id``.
+(e.g. a git SHA or ``base``/``check``) and an ``id``.
 
 **Crash-safe lines.**  Every record is stamped with a ``_sha``
 checksum (first 12 hex of sha256 over the rest of the record) and
@@ -24,24 +23,8 @@ interleaving is detected, skipped, and reported via
 never the whole history.  Records written before the checksum existed
 (no ``_sha`` field) still load.
 
-**Identity normalization.**  A faulted run's identities differ
-textually from clean ones — the fault profile travels inside the
-config repr (``fault_profile='degraded'``) and as a positional argument
-(``'degraded'``).  :func:`normalized_identity` replaces the profile's
-``repr`` with ``None`` so the *same point* under a straggler lands on
-the *same history key* as its clean baseline — which is exactly what
-lets the regression gate see the slowdown instead of two disjoint
-point sets.  The profile is still recorded per record.
-
-**Gate on simulated time.**  The default regression field is
-``per_iter_us`` — deterministic simulated time, so re-running the same
-code against its own baseline passes *exactly* (the CI gate's
-self-consistency check).  Wall time is recorded informationally and
-can be gated explicitly (``--field wall_s``) with a generous
-tolerance.
-
-**Median of N.**  A run may contain several records per id (repeat
-sweeps); comparisons use the per-id median, so one noisy repetition
+**Median of N.**  A run may contain several records per id (one per
+harness pass); comparisons use the per-id median, so one noisy pass
 cannot flip the verdict.
 """
 
@@ -50,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path
 from statistics import median
 from typing import Any, Iterable
@@ -59,31 +41,9 @@ __all__ = [
     "HistoryStore",
     "RegressEntry",
     "RegressReport",
-    "normalized_identity",
     "regress",
     "regress_table",
 ]
-
-HISTORY_FORMAT = "repro-perf-history-v1"
-
-#: gateable fields and whether an *increase* is a regression
-LOWER_IS_BETTER = frozenset({"per_iter_us", "comm_us_per_iter", "wall_s"})
-HIGHER_IS_BETTER = frozenset({"overlap", "overlap_ratio", "events_per_s"})
-
-
-def normalized_identity(identity: str, profile: str | None = None) -> str:
-    """Strip a fault profile out of a point identity (see module docs).
-
-    ``repr(profile)`` (e.g. ``'degraded'`` with quotes) appears both in
-    the config's dataclass repr and as a positional argument; replacing
-    it with ``None`` reproduces the clean run's identity text.  Profile
-    names are simple identifiers (optionally ``name@seed``), so the
-    quoted text cannot collide with anything else in the repr.
-    """
-    if profile is None:
-        return identity
-    return identity.replace(repr(profile), "None")
-
 
 def _record_sha(record: dict[str, Any]) -> str:
     """Integrity mark: sha256 (first 12 hex) over the record minus its
@@ -95,7 +55,7 @@ def _record_sha(record: dict[str, Any]) -> str:
 
 
 class HistoryStore:
-    """Append-only JSONL store of per-point perf records."""
+    """Append-only JSONL store of per-id perf records."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
@@ -182,17 +142,6 @@ class HistoryStore:
         return {pid: median(vals)
                 for pid, vals in self.values(run, field_name).items()}
 
-    def wall_medians(self) -> dict[str, float]:
-        """Per-id median wall seconds across *all* runs — the ETA
-        estimate the live progress renderer uses."""
-        out: dict[str, list[float]] = {}
-        for record in self.records():
-            value = record.get("wall_s")
-            if isinstance(value, (int, float)):
-                out.setdefault(record["id"], []).append(float(value))
-        return {pid: median(vals) for pid, vals in out.items()}
-
-
 @dataclass(frozen=True)
 class RegressEntry:
     """One compared point."""
@@ -223,26 +172,15 @@ class RegressReport:
         return not self.regressions
 
 
-def _tolerance(identity: str, rtol: float,
-               rtol_for: dict[str, float] | None) -> float:
-    """Per-point tolerance: the last matching fnmatch pattern wins."""
-    tol = rtol
-    for pattern, value in (rtol_for or {}).items():
-        if fnmatch(identity, pattern):
-            tol = value
-    return tol
-
-
 def regress(store: HistoryStore, *, run: str | None = None,
-            baseline: str | None = None, field_name: str = "per_iter_us",
-            rtol: float = 0.05,
-            rtol_for: dict[str, float] | None = None) -> RegressReport:
+            baseline: str | None = None, field_name: str = "pass_s",
+            rtol: float = 0.05) -> RegressReport:
     """Compare ``run`` against ``baseline`` on one field.
 
     Defaults: ``run`` is the latest label in the store, ``baseline``
     the first label that differs from ``run``.  A point regresses when
-    its median moves in the *bad* direction (field-dependent) by more
-    than its tolerance; points present on only one side are reported
+    its median grows by more than ``rtol`` (every field is
+    lower-is-better); points present on only one side are reported
     (``missing`` / ``added``) but never fail the gate — the point set
     may legitimately change between commits.
     """
@@ -260,34 +198,27 @@ def regress(store: HistoryStore, *, run: str | None = None,
     if baseline not in runs:
         raise ValueError(f"no records for baseline run {baseline!r} in "
                          f"{store.path} (runs: {runs})")
-    if field_name in HIGHER_IS_BETTER:
-        bad_sign = -1.0
-    else:
-        # unknown fields default to lower-is-better (they are times)
-        bad_sign = 1.0
     base = store.medians(baseline, field_name)
     cur = store.medians(run, field_name)
     report = RegressReport(run, baseline, field_name)
     for pid in sorted(base.keys() | cur.keys()):
-        tol = _tolerance(pid, rtol, rtol_for)
         if pid not in cur:
-            report.entries.append(RegressEntry(pid, base[pid], None, 0.0, tol,
+            report.entries.append(RegressEntry(pid, base[pid], None, 0.0, rtol,
                                                "missing"))
             continue
         if pid not in base:
-            report.entries.append(RegressEntry(pid, None, cur[pid], 0.0, tol,
+            report.entries.append(RegressEntry(pid, None, cur[pid], 0.0, rtol,
                                                "added"))
             continue
         b, c = base[pid], cur[pid]
         rel = (c - b) / b if b else (0.0 if c == b else float("inf"))
-        badness = bad_sign * rel
-        if badness > tol:
+        if rel > rtol:
             status = "regression"
-        elif badness < 0.0:
+        elif rel < 0.0:
             status = "improved"
         else:
             status = "ok"
-        report.entries.append(RegressEntry(pid, b, c, rel, tol, status))
+        report.entries.append(RegressEntry(pid, b, c, rel, rtol, status))
     return report
 
 

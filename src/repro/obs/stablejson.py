@@ -1,7 +1,7 @@
 """The one byte-stable JSON dump convention, shared by every exporter.
 
 Every tool in this repo that persists a JSON report (metrics dumps,
-sanitizer reports, chaos-matrix reports, timelines, perf history)
+sanitizer reports, chaos-matrix reports, timelines, what-if reports)
 promises the same contract: *identical inputs produce identical
 bytes*.  Before this module each subsystem carried its own copy of the
 ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` incantation; now
@@ -21,12 +21,11 @@ The rules:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any
 
-__all__ = ["digest_stable", "dump_stable", "dumps_stable"]
+__all__ = ["dump_stable", "dumps_stable"]
 
 
 def dumps_stable(payload: Any) -> str:
@@ -39,13 +38,3 @@ def dump_stable(payload: Any, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(dumps_stable(payload))
     return path
-
-
-def digest_stable(payload: Any) -> str:
-    """Short content digest of a payload's stable rendering.
-
-    Used by the perf history to fingerprint metric dumps: two runs
-    with byte-identical metrics share a digest, so a digest flip is a
-    one-field signal that *something* observable changed.
-    """
-    return hashlib.sha256(dumps_stable(payload).encode()).hexdigest()[:16]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -89,12 +88,6 @@ class SweepRunner:
         and neither do runs under an active metrics registry (batched
         runs record no metrics, so the per-point dumps are the
         product).
-    ``progress``
-        A :class:`~repro.obs.progress.ProgressSink` the runner narrates
-        each map call through (point queued / cached / batched /
-        started / finished).  Strictly an observer: results, cache
-        keys, and scheduling are identical with or without a sink, and
-        ``None`` (the default) costs nothing.
     ``retries``
         Extra single-worker attempts granted to each point stranded by
         a dead pool worker before the point is quarantined (default 2).
@@ -104,15 +97,13 @@ class SweepRunner:
 
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
                  profile_sink: list[tuple[str, str]] | None = None,
-                 batch: bool = True, progress: Any | None = None,
-                 retries: int = 2) -> None:
+                 batch: bool = True, retries: int = 2) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = max(1, jobs)
         self.cache = cache
         self.profile_sink = profile_sink
         self.batch = batch
-        self.progress = progress
         self.retries = retries
         #: poison points (worker death on every attempt), in index order
         self.quarantined: list[QuarantinedPoint] = []
@@ -145,8 +136,7 @@ class SweepRunner:
 
     def _run_batch_groups(self, adapter: BatchAdapter, argtuples: Sequence[tuple],
                           pending: list[int], results: list[Any],
-                          idents: list[str] | None = None,
-                          on_done: Callable[[int], None] | None = None) -> list[int]:
+                          store: Callable[[int], None]) -> list[int]:
         """Run groupable cache-miss points fused; returns the indices
         that still need per-point execution (ungroupable points,
         singleton groups, and groups whose fused run diverged)."""
@@ -175,11 +165,7 @@ class SweepRunner:
                 continue
             for i, value in zip(idxs, values):
                 results[i] = value
-                if on_done is not None:
-                    on_done(i)
-                if self.progress is not None:
-                    self.progress.point_batched(i, idents[i], len(idxs),
-                                                results[i])
+                store(i)
             self.batch_groups += 1
             self.batch_points += len(idxs)
         rest.sort()
@@ -207,20 +193,15 @@ class SweepRunner:
 
     def _run_pool(self, fn: Callable, argtuples: Sequence[tuple],
                   pending: list[int], with_metrics: bool, results: list[Any],
-                  idents: list[str] | None, store: Callable[[int], None],
-                  variant: str) -> None:
+                  store: Callable[[int], None], variant: str) -> None:
         """Fan pending points out to a process pool, surviving worker
         death: a :class:`BrokenProcessPool` flips the remaining points
         into careful mode instead of aborting the sweep.  Points are
         stored in completion order, so a slow point never holds back
         the cache entries of points that finished after it."""
         resolved: set[int] = set()
-        submitted = time.perf_counter()
         try:
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                if self.progress is not None:
-                    for i in pending:
-                        self.progress.point_started(i, idents[i])
                 if with_metrics:
                     futures = {pool.submit(_call_with_metrics, fn, argtuples[i]): i
                                for i in pending}
@@ -231,12 +212,6 @@ class SweepRunner:
                     results[i] = future.result()
                     resolved.add(i)
                     store(i)
-                    if self.progress is not None:
-                        # submit-to-resolve wall time: pooled points
-                        # have no per-point clock on the worker side
-                        self.progress.point_finished(
-                            i, idents[i],
-                            time.perf_counter() - submitted, results[i])
         except BrokenProcessPool:
             # a worker died (SIGKILL, segfault, OOM) and took the whole
             # pool down; every unresolved point re-runs alone with a
@@ -248,10 +223,6 @@ class SweepRunner:
                 results[i] = self._careful(fn, argtuples[i], with_metrics,
                                            variant, i)
                 store(i)
-                if self.progress is not None:
-                    self.progress.point_finished(
-                        i, idents[i], time.perf_counter() - submitted,
-                        results[i])
 
     def map(self, fn: Callable, argtuples: Sequence[tuple]) -> list[Any]:
         """``[fn(*args) for args in argtuples]``, accelerated."""
@@ -261,11 +232,6 @@ class SweepRunner:
         variant = "+metrics" if with_metrics else ""
         results: list[Any] = [None] * len(argtuples)
         keys: list[str | None] = [None] * len(argtuples)
-        idents: list[str] | None = None
-        if self.progress is not None:
-            idents = [point_identity(fn, args, variant) for args in argtuples]
-            self.progress.sweep_begin(
-                f"{fn.__module__}.{fn.__qualname__}", idents)
         pending: list[int] = []
         for i, args in enumerate(argtuples):
             if self.cache is not None:
@@ -274,8 +240,6 @@ class SweepRunner:
                 if hit:
                     results[i] = value
                     self.hits += 1
-                    if self.progress is not None:
-                        self.progress.point_cached(i, idents[i])
                     continue
                 self.misses += 1
             pending.append(i)
@@ -301,8 +265,7 @@ class SweepRunner:
                        else None)
             if adapter is not None:
                 pending = self._run_batch_groups(
-                    adapter, argtuples, pending, results, idents,
-                    on_done=store)
+                    adapter, argtuples, pending, results, store)
         if pending:
             # a single-core host gains nothing from a process pool and
             # pays its spawn + pickle overhead; run the points inline
@@ -310,7 +273,7 @@ class SweepRunner:
                     and self.profile_sink is None
                     and (os.cpu_count() or 1) > 1):
                 self._run_pool(fn, argtuples, pending, with_metrics, results,
-                               idents, store, variant)
+                               store, variant)
             else:
                 for i in pending:
                     if with_metrics:
@@ -323,9 +286,6 @@ class SweepRunner:
                     else:
                         def compute(args: tuple = argtuples[i]) -> Any:
                             return fn(*args)
-                    if self.progress is not None:
-                        self.progress.point_started(i, idents[i])
-                        started = time.perf_counter()
                     if self.profile_sink is not None:
                         results[i] = self._profiled(
                             fn, argtuples[i],
@@ -333,10 +293,6 @@ class SweepRunner:
                     else:
                         results[i] = compute()
                     store(i)
-                    if self.progress is not None:
-                        self.progress.point_finished(
-                            i, idents[i], time.perf_counter() - started,
-                            results[i])
         if computed:
             # duplicate argtuples computed once (deterministic workers
             # produce identical values); copy into the remaining slots
@@ -347,8 +303,6 @@ class SweepRunner:
                     self.quarantined.append(results[i])
                 else:
                     results[i] = copy.deepcopy(value)
-                if self.progress is not None:
-                    self.progress.point_cached(i, idents[i], duplicate_of=j)
         if with_metrics:
             # unwrap (result, dump) pairs; merge in submission order
             unwrapped: list[Any] = []
@@ -370,9 +324,6 @@ class SweepRunner:
             # byte-identical-dumps contract (the CLI prints self.hits /
             # self.misses to stdout instead)
             ambient.counter("perf.sweep.points").inc(len(argtuples))
-        if self.progress is not None:
-            self.progress.sweep_end(
-                f"{fn.__module__}.{fn.__qualname__}", len(argtuples))
         return results
 
 

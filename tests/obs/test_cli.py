@@ -126,27 +126,27 @@ class TestRegressCommand:
     def test_clean_rerun_exits_zero(self, tmp_path, capsys):
         store = self._store(tmp_path / "hist.jsonl")
         for run in ("base", "check"):
-            store.append({"run": run, "id": "p1", "per_iter_us": 10.0})
+            store.append({"run": run, "id": "figures", "pass_s": 0.8})
         assert main(["regress", str(store.path)]) == 0
-        assert "1 ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "on pass_s" in out and "1 ok" in out
 
     def test_regression_exits_one(self, tmp_path, capsys):
         store = self._store(tmp_path / "hist.jsonl")
-        store.append({"run": "base", "id": "p1", "per_iter_us": 10.0})
-        store.append({"run": "check", "id": "p1", "per_iter_us": 12.0})
+        store.append({"run": "base", "id": "figures", "pass_s": 0.8})
+        store.append({"run": "check", "id": "figures", "pass_s": 1.0})
         assert main(["regress", str(store.path)]) == 1
         assert "[regression]" in capsys.readouterr().out
 
-    def test_rtol_for_override(self, tmp_path):
+    def test_rtol_override(self, tmp_path):
         store = self._store(tmp_path / "hist.jsonl")
-        store.append({"run": "base", "id": "p1", "per_iter_us": 10.0})
-        store.append({"run": "check", "id": "p1", "per_iter_us": 12.0})
-        assert main(["regress", str(store.path),
-                     "--rtol-for", "p*=0.3"]) == 0
+        store.append({"run": "base", "id": "figures", "pass_s": 0.8})
+        store.append({"run": "check", "id": "figures", "pass_s": 1.0})
+        assert main(["regress", str(store.path), "--rtol", "0.3"]) == 0
 
     def test_missing_run_is_a_cli_error(self, tmp_path):
         store = self._store(tmp_path / "hist.jsonl")
-        store.append({"run": "base", "id": "p1", "per_iter_us": 10.0})
+        store.append({"run": "base", "id": "figures", "pass_s": 0.8})
         with pytest.raises(CliError, match="no baseline run"):
             main(["regress", str(store.path)])
 

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.obs.stablejson import digest_stable, dump_stable, dumps_stable
+from repro.obs.stablejson import dump_stable, dumps_stable
 
 
 def test_key_ordering_is_sorted_at_every_level():
@@ -62,16 +62,6 @@ def test_dump_stable_writes_same_bytes(tmp_path):
     payload = {"counters": [{"name": "x", "value": 3}], "pi": 3.14159}
     path = dump_stable(payload, tmp_path / "out.json")
     assert path.read_text() == dumps_stable(payload)
-
-
-def test_digest_stable_pinned():
-    # 16 hex chars of sha256 over the stable text; pinned so the perf
-    # history's metric fingerprints stay comparable across sessions.
-    payload = {"a": 1, "b": [1.5, "x"]}
-    digest = digest_stable(payload)
-    assert len(digest) == 16
-    assert digest == digest_stable({"b": [1.5, "x"], "a": 1})
-    assert digest == "45c14b97735f9c34"
 
 
 def test_all_report_helpers_share_the_convention():

@@ -7,6 +7,7 @@ the figure report.
 
 import numpy as np
 
+import repro.perf.sweep as sweep_mod
 from repro.bench.figures import _dace_1d_point, _stencil_point
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.perf import (
@@ -50,6 +51,14 @@ class TestRunnerDeterminism:
         serial = SweepRunner(jobs=1).map(_dace_1d_point, tasks)
         parallel = SweepRunner(jobs=2).map(_dace_1d_point, tasks)
         assert parallel == serial
+
+    def test_pool_path_resolves_every_point(self, monkeypatch):
+        """Unbatched points at jobs=2 go through the process pool (even
+        on a single-core host) and every slot gets its own result."""
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 4)
+        tasks = _small_tasks()
+        rows = SweepRunner(jobs=2, batch=False).map(_stencil_point, tasks)
+        assert rows == [_stencil_point(*t) for t in tasks]
 
     def test_results_keep_submission_order(self):
         tasks = _small_tasks()
@@ -212,6 +221,15 @@ class TestMeteredDedupe:
             alone = [runner.map(_stencil_point, [args])[0] for args in tasks]
         assert rows == alone
         assert registry.to_json() == twice.to_json()
+
+
+    def test_unmetered_duplicate_computed_once(self):
+        tasks = _small_tasks()
+        tasks = tasks + [tasks[0]]
+        _CALLS.clear()
+        rows = SweepRunner(jobs=1, batch=True).map(_counted_stencil_point, tasks)
+        assert len(_CALLS) == len(tasks) - 1
+        assert rows[-1] == rows[0] and rows[-1] is not rows[0]
 
 
 class TestActiveRunner:

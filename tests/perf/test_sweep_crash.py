@@ -8,7 +8,6 @@ import pytest
 
 import repro.perf.sweep as sweep_mod
 from repro.perf.cache import ResultCache
-from repro.obs.progress import ProgressSink
 from repro.perf.sweep import QuarantinedPoint, SweepRunner
 
 
@@ -77,29 +76,29 @@ class TestWorkerDeath:
         assert rerun.hits == 4 and rerun.misses == 0
 
     def test_finished_points_stored_while_earlier_point_runs(
-            self, pool_path, cache, tmp_path):
+            self, pool_path, tmp_path):
         """Pooled points are stored in completion order: point 1 is
-        cached and reported while point 0 is still running, so a parent
-        killed in that window loses only point 0."""
+        cached while point 0 is still running, so a parent killed in
+        that window loses only point 0."""
         sentinel = tmp_path / "point1-finished"
 
-        class Release(ProgressSink):
-            def __init__(self):
-                self.cached_at_finish = None
+        class Release(ResultCache):
+            stored_at_put = None
 
-            def point_finished(self, index, identity, wall_s, result=None):
-                if index == 1:
-                    key = cache.key(_wait_for_sentinel, (str(sentinel), 1))
-                    self.cached_at_finish = cache.get(key)[0]
+            def put(self, key, value):
+                super().put(key, value)
+                if key == self.key(_wait_for_sentinel, (str(sentinel), 1)):
+                    self.stored_at_put = self.get(key)[0]
                     sentinel.touch()
 
-        sink = Release()
-        runner = SweepRunner(jobs=2, cache=cache, progress=sink)
+        cache = Release(tmp_path / "cache")
+        runner = SweepRunner(jobs=2, cache=cache)
         results = runner.map(_wait_for_sentinel,
                              [(str(sentinel), i) for i in range(3)])
-        # point 0 saw the sentinel: point 1 finished before point 0 did
+        # point 0 saw the sentinel: point 1 was stored before point 0
+        # finished
         assert results == [(0, True), (1, True), (2, True)]
-        assert sink.cached_at_finish is True
+        assert cache.stored_at_put is True
 
     def test_worker_exception_still_propagates(self, pool_path):
         """Quarantine is for dead workers only: a worker that *raises*

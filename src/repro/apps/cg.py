@@ -35,7 +35,7 @@ from repro.runtime.kernel import KernelSpec
 from repro.sim import Tracer
 from repro.stencil.grid import SlabDecomposition, scatter_slabs
 
-__all__ = ["CGConfig", "CGResult", "reference_cg", "run_cg"]
+__all__ = ["CGConfig", "CGResult", "cg_point", "reference_cg", "run_cg"]
 
 
 def laplacian_apply(p: np.ndarray, out: np.ndarray) -> None:
@@ -478,3 +478,15 @@ def run_cg(variant: str, config: CGConfig) -> CGResult:
     except KeyError:
         raise ValueError(f"unknown CG variant {variant!r}; known: {sorted(_VARIANTS)}") from None
     return cls(config).run()
+
+
+def cg_point(variant: str, config: CGConfig) -> dict[str, float]:
+    """Sweep worker: one timing run reduced to the numbers the CG claims
+    of :mod:`repro.bench.paper` read, so a cached point holds no tracer:
+    the per-iteration time and the share of the run its busiest GPU
+    lane spends idle."""
+    res = run_cg(variant, config)
+    busiest = max(busy for lane, busy in res.tracer.busy_per_lane().items()
+                  if lane.startswith("gpu"))
+    return {"per_iteration_us": res.per_iteration_us,
+            "device_idle_%": 100 - busiest / res.total_time_us * 100}

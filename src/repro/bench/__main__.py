@@ -20,7 +20,9 @@ report body is byte-identical at any ``--jobs`` setting and on replay;
 wall-clock timings and cache statistics print to stdout only, never
 into ``--out``.  ``--paper`` appends the verdict of
 :mod:`repro.bench.paper` to the same report, read from the figures it
-just rendered, and exits 1 on a miss.
+just rendered plus the ablation and CG experiments (sweep points of
+the same runner, so ``--jobs``, the cache and ``--profile`` cover them
+too), and exits 1 on a miss.
 """
 
 from __future__ import annotations
@@ -144,10 +146,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=None, metavar="PATH",
                         help="cProfile the run and dump stats to PATH "
                              "(default: repro-bench.prof); forces --jobs 1")
-    parser.add_argument("--profile-out", type=str, default=None, metavar="PATH",
-                        help="write per-point cProfile stats (sorted by "
-                             "cumulative time) to PATH, one section per "
-                             "computed sweep point; forces --jobs 1")
     parser.add_argument("--batch", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="fuse compatible cache-miss sweep points into one "
@@ -182,11 +180,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown figure id(s) {unknown}; "
                      f"choose from {sorted(all_figures)}")
 
-    jobs = 1 if (args.profile or args.profile_out) else args.jobs
+    jobs = 1 if args.profile else args.jobs
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    profile_sink: list[tuple[str, str]] | None = [] if args.profile_out else None
-    runner = SweepRunner(jobs=jobs, cache=cache, profile_sink=profile_sink,
-                         batch=args.batch)
+    runner = SweepRunner(jobs=jobs, cache=cache, batch=args.batch)
     profiler = None
     if args.profile:
         import cProfile
@@ -206,28 +202,28 @@ def main(argv: list[str] | None = None) -> int:
             registry.gauge("bench.fault_profile", profile=args.fault_profile).set(1)
     from repro.faults.profiles import use_fault_profile
 
-    with use_fault_profile(args.fault_profile), use_runner(runner), (
-            use_metrics(registry) if registry is not None else nullcontext()):
+    results = None
+    with use_fault_profile(args.fault_profile), use_runner(runner):
         if profiler is not None:
             profiler.enable()
-        for figure_id in selected:
-            started = time.perf_counter()
-            figures[figure_id] = all_figures[figure_id]()
-            for fig in figures[figure_id]:
-                sections.append(render_figure(fig))
-                sections.append("")
-            timings.append((figure_id, time.perf_counter() - started))
+        with use_metrics(registry) if registry is not None else nullcontext():
+            for figure_id in selected:
+                started = time.perf_counter()
+                figures[figure_id] = all_figures[figure_id]()
+                for fig in figures[figure_id]:
+                    sections.append(render_figure(fig))
+                    sections.append("")
+                timings.append((figure_id, time.perf_counter() - started))
+        if args.paper:
+            from repro.bench.paper import evaluate_claims, render_claims
+
+            # the claim experiments are sweep points of the same runner
+            # (so --jobs and the cache apply) but add no metrics: the
+            # dump stays the plain report's
+            results = evaluate_claims(figures)
+            sections += [render_claims(results), ""]
         if profiler is not None:
             profiler.disable()
-
-    results = None
-    if args.paper:
-        from repro.bench.paper import evaluate_claims, render_claims
-
-        # outside the runner and the registry: the ablation runs are
-        # not sweep points, so they neither hit the cache nor add metrics
-        results = evaluate_claims(figures)
-        sections += [render_claims(results), ""]
     report = "\n".join(sections)
     print(report)
     # timing / cache lines go to stdout only: the report body must stay
@@ -251,12 +247,6 @@ def main(argv: list[str] | None = None) -> int:
         for point in runner.quarantined:
             print(f"(sweep point quarantined after {point.attempts} "
                   f"attempt(s): {point.identity} — {point.reason})")
-    if profile_sink is not None:
-        with open(args.profile_out, "w") as fh:
-            for identity, text in profile_sink:
-                fh.write(f"==== {identity}\n{text}\n")
-        print(f"(per-point profiles for {len(profile_sink)} computed point(s) "
-              f"written to {args.profile_out})")
     if profiler is not None:
         import pstats
 

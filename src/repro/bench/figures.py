@@ -26,6 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.hw import HGX_A100_8GPU
+from repro.nvshmem.device import Scope
 from repro.runtime import MultiGPUContext
 from repro.sdfg.codegen import SDFGExecutor
 from repro.sdfg.distributed import GridDecomposition2D, SlabDecomposition1D
@@ -496,16 +497,24 @@ def fig62_3d(
 # ------------------------------ Figure 6.3 ---------------------------------------
 
 
-def _pipelined_sdfg(build, kind, conjugates):
+def _pipelined_sdfg(build, kind, conjugates, options):
     """Build + transform one DaCe program (the warm-start template)."""
     sdfg = build()
     if kind == "baseline":
         return baseline_pipeline(sdfg)
-    return cpufree_pipeline(sdfg, conjugates)
+    return cpufree_pipeline(sdfg, conjugates, **dict(options))
 
 
 def _run_dace(build, pipeline_args, decomp_args, ranks: int,
-              fault_profile: str | None = None):
+              fault_profile: str | None = None, *, options: tuple = (),
+              comm_scope: Scope = Scope.THREAD):
+    """One timing-only run of a transformed DaCe program.
+
+    ``options`` are ``(name, value)`` keyword pairs for
+    :func:`cpufree_pipeline` and ``comm_scope`` is the executor's put
+    scope: the figures keep the defaults, and the §5 ablations of
+    :mod:`repro.bench.paper` vary one of them per run.
+    """
     kind, conjugates = pipeline_args
     # The transformed graph depends only on (program, pipeline), never
     # on the GPU count or fault profile, so one worker process builds
@@ -516,12 +525,12 @@ def _run_dace(build, pipeline_args, decomp_args, ranks: int,
     # *compiles* still amortize through the content-keyed code cache
     # in repro.sdfg.codegen.executor, which is metric-invisible.
     sdfg = warm.warm(
-        ("dace-sdfg", build.__module__, build.__qualname__, kind),
-        lambda: _pipelined_sdfg(build, kind, conjugates),
+        ("dace-sdfg", build.__module__, build.__qualname__, kind, options),
+        lambda: _pipelined_sdfg(build, kind, conjugates, options),
         copy=copy.deepcopy)
     ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(ranks), tracer=Tracer(),
                           faults=get_injector(fault_profile))
-    executor = SDFGExecutor(sdfg, ctx, with_data=False)
+    executor = SDFGExecutor(sdfg, ctx, with_data=False, comm_scope=comm_scope)
     return executor.run(decomp_args)
 
 
@@ -617,3 +626,4 @@ def fig63b_dace_2d(
             / fig.at("dace_cpufree", top).per_iteration_us * 100.0),
     }
     return fig
+

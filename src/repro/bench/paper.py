@@ -5,11 +5,13 @@ Every quantitative statement the reproduction stands behind is one
 the qualitative trends around them (orderings, growth with GPU count)
 as ratios, and the design ablations of §4, §4.1.2, §5.1, §5.3.2 and
 §5.4 plus the Conjugate Gradient extension.  :func:`evaluate_claims`
-reads the figures that ``python -m repro.bench`` renders, runs the
-ablation and CG experiments itself, and checks each row against its
-band; ``python -m repro.bench --paper`` prints the report followed by
-the verdict table and exits non-zero on any miss, and the tier-1 suite
-evaluates the same table from the same pass.
+reads the figures that ``python -m repro.bench`` renders, maps the
+ablation and CG experiments through the active sweep runner (workers
+shared with the figures where they exist, so ``--jobs`` and the result
+cache apply), and checks each row against its band; ``python -m
+repro.bench --paper`` prints the report followed by the verdict table
+and exits non-zero on any miss, and the tier-1 suite evaluates the
+same table from the same pass.
 
 Tolerances encode the reproduction contract: we match *shape* (sign,
 ordering, rough factor), not testbed-absolute numbers, so bands are
@@ -24,30 +26,20 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.apps import CGConfig, run_cg
-from repro.bench.figures import FigureData
-from repro.hw import HGX_A100_8GPU
+from repro.apps.cg import CGConfig, cg_point
+from repro.bench.figures import FigureData, _run_dace, _stencil_point
 from repro.nvshmem.device import Scope
-from repro.runtime import MultiGPUContext
-from repro.sdfg.codegen import SDFGExecutor
+from repro.perf import active_runner, completed
 from repro.sdfg.distributed import GridDecomposition2D, SlabDecomposition1D
 from repro.sdfg.programs import (
     CONJUGATES_1D,
     CONJUGATES_2D,
     build_jacobi_1d_sdfg,
     build_jacobi_2d_sdfg,
-    cpufree_pipeline,
 )
-from repro.sdfg.transforms import (
-    gpu_persistent_kernel,
-    gpu_transform,
-    mpi_to_nvshmem,
-    nvshmem_array,
-)
-from repro.sim import Tracer
-from repro.stencil import StencilConfig, run_variant
-from repro.stencil.variants.auto_overlap import AutoOverlap, OverlapSchedule
-from repro.tune import autotune_tb_split
+from repro.stencil import StencilConfig
+from repro.stencil.variants.auto_overlap import OverlapSchedule
+from repro.tune import autotune_tb_split, schedule_point
 
 __all__ = ["Claim", "ClaimResult", "evaluate_claims", "render_claims", "PAPER_CLAIMS"]
 
@@ -85,29 +77,25 @@ class ClaimResult:
 
 # ------------------------------ ablation runs ------------------------------------
 
-
-def _generated_us(sdfg, decomp, tsteps: int, **executor_options) -> float:
-    """Simulated µs of one timing-only run of a transformed program."""
-    ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(decomp.ranks), tracer=Tracer())
-    executor = SDFGExecutor(sdfg, ctx, with_data=False, **executor_options)
-    return executor.run(decomp.rank_params(tsteps)).total_time_us
-
-
-def _jacobi_1d_us(*, relax_barriers: bool = True, comm_scope=Scope.THREAD) -> float:
-    """§5.1/§5.4: generated 1D Jacobi, 1M elements per GPU."""
-    sdfg = build_jacobi_1d_sdfg()
-    gpu_transform(sdfg)
-    mpi_to_nvshmem(sdfg, CONJUGATES_1D)
-    nvshmem_array(sdfg)
-    gpu_persistent_kernel(sdfg, relax_barriers=relax_barriers)
-    return _generated_us(sdfg, SlabDecomposition1D(8_000_000, 8), 11,
-                         comm_scope=comm_scope)
-
-
-def _jacobi_2d_us(**pipeline_options) -> float:
-    """§5.3.2/§5.4: generated 2D Jacobi on the wide 2x4 grid, 1024^2 tiles."""
-    sdfg = cpufree_pipeline(build_jacobi_2d_sdfg(), CONJUGATES_2D, **pipeline_options)
-    return _generated_us(sdfg, GridDecomposition2D(2048, 4096, 8), 6)
+#: §4.1.2: the regimes the closed-form TB split is searched against
+_AUTOTUNE_SHAPES = ((2048 + 2, 2048 + 2), (4 * 8 + 2, 1024 + 2, 1024 + 2),
+                    (8 * 32 + 2, 256 + 2))
+#: §5 programs: builder, conjugates, decomposition, time steps.  1D
+#: runs 1M elements per GPU; 2D the wide 2x4 grid of 1024^2 tiles.
+_GENERATED = {
+    "1d": (build_jacobi_1d_sdfg, CONJUGATES_1D, SlabDecomposition1D(8_000_000, 8), 11),
+    "2d": (build_jacobi_2d_sdfg, CONJUGATES_2D, GridDecomposition2D(2048, 4096, 8), 6),
+}
+#: §5.1/§5.3.2/§5.4: program, CPU-Free pipeline options, put scope
+_GENERATED_RUNS = {
+    "1d_relaxed": ("1d", (), Scope.THREAD),
+    "1d_conservative": ("1d", (("relax_barriers", False),), Scope.THREAD),
+    "1d_block_scope": ("1d", (), Scope.BLOCK),
+    "2d_nbi": ("2d", (), Scope.THREAD),
+    "2d_blocking": ("2d", (("nbi", False),), Scope.THREAD),
+    "2d_specialized": ("2d", (("specialize_comm", True),), Scope.THREAD),
+}
+_CG_VARIANTS = ("cg_baseline", "cg_cpufree")
 
 
 def _stencil_config(shape: tuple[int, ...], iterations: int = 30) -> StencilConfig:
@@ -115,53 +103,55 @@ def _stencil_config(shape: tuple[int, ...], iterations: int = 30) -> StencilConf
                          with_data=False)
 
 
-def _tb_split(shape: tuple[int, ...]) -> dict[str, float]:
-    """§4.1.2: proportional TB split vs a fixed 1-block-per-side split."""
-    config = _stencil_config(shape)
-    return {"proportional": run_variant("cpufree", config).total_time_us,
-            "fixed": AutoOverlap(config, OverlapSchedule(1, 1)).run().total_time_us}
-
-
-def _coresident(edge: int, *others: str) -> dict[str, float]:
-    """§4: one persistent kernel vs two co-resident kernels (and ``others``)."""
-    config = _stencil_config(((edge // 8) * 8 + 2, edge + 2))
-    return {variant: run_variant(variant, config).total_time_us
-            for variant in ("cpufree", "cpufree_coresident", *others)}
-
-
-def _autotune_regret() -> float:
-    """§4.1.2: worst regret of the closed-form split against a search."""
-    regimes = ((2048 + 2, 2048 + 2), (4 * 8 + 2, 1024 + 2, 1024 + 2),
-               (8 * 32 + 2, 256 + 2))
-    return max(autotune_tb_split(_stencil_config(shape, 15), iterations=15)
-               .formula_regret_percent for shape in regimes)
-
-
-def _cg() -> dict[int, dict]:
+def _cg_config(gpus: int) -> CGConfig:
     """Reduction-bound CG, weak scaling at 64 rows x 512 columns per GPU."""
-    out = {}
-    for gpus in (2, 8):
-        config = CGConfig(global_shape=(64 * gpus + 2, 514), num_gpus=gpus,
-                          iterations=15, with_data=False)
-        out[gpus] = {v: run_cg(v, config) for v in ("cg_baseline", "cg_cpufree")}
-    return out
+    return CGConfig(global_shape=(64 * gpus + 2, 514), num_gpus=gpus,
+                    iterations=15, with_data=False)
+
+
+def _generated_point(program: str, options: tuple, comm_scope: Scope) -> float:
+    """Sweep worker: simulated µs of one generated CPU-Free program."""
+    build, conjugates, decomp, tsteps = _GENERATED[program]
+    return _run_dace(build, ("cpufree", conjugates), decomp.rank_params(tsteps),
+                     decomp.ranks, options=options,
+                     comm_scope=comm_scope).total_time_us
+
+
+def _map(fn, tasks: list[tuple]) -> dict:
+    """``{task: fn(*task)}`` through the active runner; a point whose
+    worker died on every attempt fails the evaluation by its identity."""
+    return dict(zip(tasks, completed(active_runner().map(fn, tasks))))
 
 
 def _ablations() -> dict:
-    """Run every experiment that is not a report figure, once."""
+    """Run every experiment that is not a report figure, once, as sweep
+    points of the active runner.  Stencil and CG entries are
+    per-iteration times, the generated programs' entries total times."""
+    thin, d256, d2048 = (_stencil_config(shape) for shape in (
+        (4 * 8 + 2, 1024 + 2, 1024 + 2), (256 + 2, 256 + 2), (2048 + 2, 2048 + 2)))
+    # §4: one persistent kernel vs two co-resident ones
+    kernels = {d256: ("cpufree", "cpufree_coresident", "baseline_overlap"),
+               d2048: ("cpufree", "cpufree_coresident")}
+    t = {task: row.per_iteration_us for task, row in _map(_stencil_point, [
+        ("cpufree", thin),
+        *((v, config) for config, variants in kernels.items() for v in variants),
+    ]).items()}
+    # §4.1.2's fixed split: one boundary block per side
+    fixed = {config: total / config.iterations for (_, config), total in _map(
+        schedule_point, [(OverlapSchedule(1, 1), c) for c in (thin, d2048)]).items()}
+    generated = _map(_generated_point, list(_GENERATED_RUNS.values()))
+    cg = _map(cg_point, [(v, _cg_config(gpus)) for gpus in (2, 8) for v in _CG_VARIANTS])
     return {
-        "tb_split_3d": _tb_split((4 * 8 + 2, 1024 + 2, 1024 + 2)),
-        "tb_split_2d": _tb_split((2048 + 2, 2048 + 2)),
-        "autotune_regret": _autotune_regret(),
-        "coresident_256": _coresident(256, "baseline_overlap"),
-        "coresident_2048": _coresident(2048),
-        "1d_relaxed": _jacobi_1d_us(),
-        "1d_conservative": _jacobi_1d_us(relax_barriers=False),
-        "1d_block_scope": _jacobi_1d_us(comm_scope=Scope.BLOCK),
-        "2d_nbi": _jacobi_2d_us(),
-        "2d_blocking": _jacobi_2d_us(nbi=False),
-        "2d_specialized": _jacobi_2d_us(specialize_comm=True),
-        "cg": _cg(),
+        "tb_split_3d": {"proportional": t["cpufree", thin], "fixed": fixed[thin]},
+        "tb_split_2d": {"proportional": t["cpufree", d2048], "fixed": fixed[d2048]},
+        "autotune_regret": max(
+            autotune_tb_split(_stencil_config(shape, 15), iterations=15)
+            .formula_regret_percent for shape in _AUTOTUNE_SHAPES),
+        "coresident_256": {v: t[v, d256] for v in kernels[d256]},
+        "coresident_2048": {v: t[v, d2048] for v in kernels[d2048]},
+        **{name: generated[task] for name, task in _GENERATED_RUNS.items()},
+        "cg": {gpus: {v: cg[v, _cg_config(gpus)] for v in _CG_VARIANTS}
+               for gpus in (2, 8)},
     }
 
 
@@ -189,15 +179,7 @@ def _min_step(fig: FigureData, order: tuple[str, ...], gpus: int) -> float:
 
 
 def _cg_t(f: dict, gpus: int, variant: str) -> float:
-    return f["cg"][gpus][variant].per_iteration_us
-
-
-def _cg_device_idle(f: dict) -> float:
-    """Share of the CPU-controlled run its busiest GPU spends idle."""
-    base = f["cg"][8]["cg_baseline"]
-    busiest = max(busy for lane, busy in base.tracer.busy_per_lane().items()
-                  if lane.startswith("gpu"))
-    return 100 - busiest / base.total_time_us * 100
+    return f["cg"][gpus][variant]["per_iteration_us"]
 
 
 PAPER_CLAIMS: tuple[Claim, ...] = (
@@ -399,7 +381,8 @@ PAPER_CLAIMS: tuple[Claim, ...] = (
           lambda f: _gain(_cg_t(f, 8, "cg_baseline"), _cg_t(f, 8, "cg_cpufree"))),
     Claim("cg-device-idle", "CG",
           "CPU-controlled CG: idle share of its busiest GPU at 8 GPUs",
-          None, "%", 50.0, 100.0, _cg_device_idle),
+          None, "%", 50.0, 100.0,
+          lambda f: f["cg"][8]["cg_baseline"]["device_idle_%"]),
     Claim("cg-cpufree-flat", "CG", "CPU-Free CG time growth 2->8 GPUs",
           None, "x", -INF, 2.5,
           lambda f: _cg_t(f, 8, "cg_cpufree") / _cg_t(f, 2, "cg_cpufree")),

@@ -8,12 +8,13 @@ the configuration and the simulator sources.  See docs/performance.md.
 """
 
 from repro.perf.cache import ResultCache, point_identity, source_digest
-from repro.perf.sweep import SweepRunner, active_runner, use_runner
+from repro.perf.sweep import SweepRunner, active_runner, completed, use_runner
 
 __all__ = [
     "ResultCache",
     "SweepRunner",
     "active_runner",
+    "completed",
     "point_identity",
     "source_digest",
     "use_runner",

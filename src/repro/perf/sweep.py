@@ -14,11 +14,13 @@ submission order), so rerunning a killed or finished sweep against the
 same cache directory replays every finished point and computes only
 the rest; the ``hits`` / ``misses`` tallies are the replay report.
 
-Figure code never receives a runner explicitly: it calls
-:func:`active_runner`, which defaults to a serial, cache-less runner
-(plain function calls — the behavior unit tests see).  The CLI
-installs a configured runner around a whole figure run with
-:func:`use_runner`.
+Experiment code never receives a runner explicitly: the figure
+sweeps, the paper's ablation and CG runs and the TB-split search all
+call :func:`active_runner`, which defaults to a serial, cache-less
+runner (plain function calls — the behavior unit tests see).  The CLI
+installs one configured runner around the whole figure run and claim
+evaluation with :func:`use_runner`.  A caller that cannot use a sweep
+with a quarantined point passes the results through :func:`completed`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from repro.obs.metrics import MetricsRegistry, active_metrics, use_metrics
 from repro.perf.batch import BatchAdapter, adapter_for
 from repro.perf.cache import ResultCache, point_identity
 
-__all__ = ["QuarantinedPoint", "SweepRunner", "active_runner", "use_runner"]
+__all__ = ["QuarantinedPoint", "SweepRunner", "active_runner", "completed",
+           "use_runner"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,17 @@ class QuarantinedPoint:
     identity: str
     attempts: int
     reason: str = "worker process died (BrokenProcessPool)"
+
+
+def completed(results: list[Any]) -> list[Any]:
+    """``results`` unchanged, for a caller that needs every point: a
+    :class:`QuarantinedPoint` among them raises, naming the point."""
+    for value in results:
+        if isinstance(value, QuarantinedPoint):
+            raise RuntimeError(
+                f"sweep point quarantined after {value.attempts} attempt(s): "
+                f"{value.identity} — {value.reason}")
+    return results
 
 
 def _call_with_metrics(fn: Callable, args: tuple) -> tuple[Any, dict]:
@@ -73,19 +87,13 @@ class SweepRunner:
         when ``jobs > 1``.
     ``cache``
         A :class:`ResultCache`, or ``None`` to recompute everything.
-    ``profile_sink``
-        When not ``None``, every *computed* point runs under its own
-        ``cProfile`` and ``(identity, stats text)`` — sorted by
-        cumulative time — is appended to this list.  Forces in-process
-        execution (profiles cannot cross a process pool).
     ``batch``
         Consult the worker's registered :class:`~repro.perf.batch.
         BatchAdapter` and run compatible cache-miss points fused in one
         simulation (default).  Results and cache entries are
         byte-identical either way — cache keys are shared between the
         two paths — so the switch is purely a performance A/B lever.
-        Profiled runs never batch (per-point profiles are the product),
-        and neither do runs under an active metrics registry (batched
+        Runs under an active metrics registry never batch (batched
         runs record no metrics, so the per-point dumps are the
         product).
     ``retries``
@@ -96,13 +104,11 @@ class SweepRunner:
     """
 
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
-                 profile_sink: list[tuple[str, str]] | None = None,
                  batch: bool = True, retries: int = 2) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = max(1, jobs)
         self.cache = cache
-        self.profile_sink = profile_sink
         self.batch = batch
         self.retries = retries
         #: poison points (worker death on every attempt), in index order
@@ -113,26 +119,6 @@ class SweepRunner:
         self.batch_groups = 0
         self.batch_points = 0
         self.batch_fallbacks = 0
-
-    def _profiled(self, fn: Callable, args: tuple, identity: str,
-                  compute: Callable[[], Any]) -> Any:
-        """Run ``compute`` under cProfile; append stats to the sink."""
-        import cProfile
-        import io
-        import pstats
-
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            result = compute()
-        finally:
-            profile.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profile, stream=buffer)
-        stats.sort_stats("cumulative")
-        stats.print_stats(25)
-        self.profile_sink.append((identity, buffer.getvalue()))
-        return result
 
     def _run_batch_groups(self, adapter: BatchAdapter, argtuples: Sequence[tuple],
                           pending: list[int], results: list[Any],
@@ -259,7 +245,7 @@ class SweepRunner:
                 value = results[i] = (value[0], value[1].to_dict())
             self.cache.put(keys[i], value)
 
-        if pending and self.profile_sink is None:
+        if pending:
             pending, dup_of = _dedupe_pending(argtuples, pending)
             adapter = (adapter_for(fn) if self.batch and not with_metrics
                        else None)
@@ -270,7 +256,6 @@ class SweepRunner:
             # a single-core host gains nothing from a process pool and
             # pays its spawn + pickle overhead; run the points inline
             if (self.jobs > 1 and len(pending) > 1
-                    and self.profile_sink is None
                     and (os.cpu_count() or 1) > 1):
                 self._run_pool(fn, argtuples, pending, with_metrics, results,
                                store, variant)
@@ -279,19 +264,11 @@ class SweepRunner:
                     if with_metrics:
                         # in-process: keep the registry itself so the
                         # merge can skip the dump round-trip
-                        def compute(args: tuple = argtuples[i]) -> Any:
-                            registry = MetricsRegistry()
-                            with use_metrics(registry):
-                                return fn(*args), registry
+                        registry = MetricsRegistry()
+                        with use_metrics(registry):
+                            results[i] = fn(*argtuples[i]), registry
                     else:
-                        def compute(args: tuple = argtuples[i]) -> Any:
-                            return fn(*args)
-                    if self.profile_sink is not None:
-                        results[i] = self._profiled(
-                            fn, argtuples[i],
-                            point_identity(fn, argtuples[i], variant), compute)
-                    else:
-                        results[i] = compute()
+                        results[i] = fn(*argtuples[i])
                     store(i)
         if computed:
             # duplicate argtuples computed once (deterministic workers

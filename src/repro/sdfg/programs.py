@@ -144,17 +144,21 @@ def cpufree_pipeline(
     conjugates: dict[str, str],
     *,
     nbi: bool = True,
+    relax_barriers: bool = True,
     specialize_comm: bool = False,
 ) -> SDFG:
     """The §6.2.1 CPU-Free pipeline (on top of the baseline passes).
 
-    ``specialize_comm=True`` additionally enables the §5.4 future-work
-    thread-block specialization for generated code.
+    ``relax_barriers=False`` keeps a grid barrier after every state
+    (§5.1's conservative schedule); ``specialize_comm=True``
+    additionally enables the §5.4 future-work thread-block
+    specialization for generated code.
     """
     gpu_transform(sdfg)
     map_fusion(sdfg)
     mpi_to_nvshmem(sdfg, conjugates, nbi=nbi)
     nvshmem_array(sdfg)
-    gpu_persistent_kernel(sdfg, specialize_comm=specialize_comm)
+    gpu_persistent_kernel(sdfg, relax_barriers=relax_barriers,
+                          specialize_comm=specialize_comm)
     validate(sdfg)
     return sdfg

@@ -19,7 +19,8 @@ resolve to the earlier, simpler candidate — and all JSON goes through
 
 :func:`autotune_tb_split` is the narrower search behind the §4.1.2
 evaluation: it measures cpufree at every boundary block count (an
-``AutoOverlap`` schedule with one chunk and the split overridden) and
+``AutoOverlap`` schedule with one chunk and the split overridden, one
+:func:`schedule_point` each, mapped through the same runner) and
 reports how far the closed-form split lands from the empirical optimum.
 """
 
@@ -37,7 +38,7 @@ from repro.bench.figures import (
     win_loss,
 )
 from repro.core.specialization import SpecializationPlan
-from repro.perf import SweepRunner, active_runner
+from repro.perf import SweepRunner, active_runner, completed
 from repro.stencil.base import StencilConfig
 from repro.stencil.variants.auto_overlap import (
     CHUNK_CANDIDATES,
@@ -55,6 +56,7 @@ __all__ = [
     "candidate_splits",
     "schedule_grid",
     "schedule_payload",
+    "schedule_point",
     "trial_point",
     "tune",
     "win_loss_payload",
@@ -100,13 +102,21 @@ class AutotuneReport:
         return (formula_time - best_time) / best_time * 100.0
 
 
+def schedule_point(schedule: OverlapSchedule, config: StencilConfig) -> float:
+    """Sweep worker: total simulated µs of ``AutoOverlap`` under one
+    explicit schedule."""
+    return AutoOverlap(config, schedule).run().total_time_us
+
+
 def autotune_tb_split(config: StencilConfig, *,
                       iterations: int = 20) -> AutotuneReport:
     """Search boundary block counts for the CPU-Free stencil variant.
 
-    The search runs timing-only regardless of ``config.with_data``.
-    Returns the empirically best plan alongside the formula's plan,
-    which is always among the measured candidates.
+    The search runs timing-only regardless of ``config.with_data``, one
+    :func:`schedule_point` per candidate through the active runner (so
+    ``--jobs`` and the result cache apply).  Returns the empirically
+    best plan alongside the formula's plan, which is always among the
+    measured candidates.
     """
     timing_config = replace(config, with_data=False, iterations=iterations)
     probe = AutoOverlap(timing_config, OverlapSchedule(1))
@@ -115,10 +125,11 @@ def autotune_tb_split(config: StencilConfig, *,
 
     candidates = set(candidate_splits(tb_total))
     candidates.add(formula_plan.boundary_tb_per_side)
-    measurements = {
-        split: AutoOverlap(timing_config, OverlapSchedule(1, split)).run().total_time_us
-        for split in sorted(candidates)
-    }
+    splits = sorted(candidates)
+    times = completed(active_runner().map(
+        schedule_point,
+        [(OverlapSchedule(1, split), timing_config) for split in splits]))
+    measurements = dict(zip(splits, times))
     best_split = min(measurements, key=lambda k: (measurements[k], k))
     return AutotuneReport(
         best=SpecializationPlan(tb_total=tb_total,

@@ -8,13 +8,18 @@ and every test below reads the verdict of that one pass."""
 
 import math
 import pathlib
+import pstats
 
 import pytest
 
+from repro.apps.cg import cg_point
 from repro.bench import __main__ as bench_cli
 from repro.bench import paper
 from repro.bench.__main__ import main
+from repro.bench.figures import _stencil_point
 from repro.bench.paper import PAPER_CLAIMS, Claim, ClaimResult, render_claims
+from repro.perf import ResultCache, SweepRunner, point_identity, use_runner
+from repro.perf.sweep import QuarantinedPoint
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden" / "bench_report.md"
 
@@ -108,6 +113,60 @@ def test_cli_paper_flag_exits_1_on_a_miss(paper_pass, monkeypatch, tmp_path, cap
     monkeypatch.setattr(paper, "PAPER_CLAIMS", (impossible,))
     assert main(["--paper", "--no-cache", "--out", str(tmp_path / "claims.txt")]) == 1
     assert "MISS" in capsys.readouterr().out
+
+
+def test_cli_profile_covers_the_claims(paper_pass, monkeypatch, tmp_path):
+    """The whole-run profile is still on while the claims evaluate."""
+    def replayed_ablations():
+        return paper_pass["ablations"]
+
+    monkeypatch.setattr(bench_cli, "FIGURES", {
+        key: (lambda figs=figs: figs) for key, figs in paper_pass["figures"].items()})
+    monkeypatch.setattr(paper, "_ablations", replayed_ablations)
+    prof = tmp_path / "run.prof"
+    assert main(["--paper", "--no-cache", "--profile", str(prof)]) == 0
+    profiled = {name for _, _, name in pstats.Stats(str(prof)).stats}
+    assert {"evaluate_claims", "replayed_ablations"} <= profiled
+
+
+def test_ablations_replay_from_the_cache(tmp_path):
+    """Every ablation is a sweep point: a second pass against the same
+    cache computes nothing and reads the same values."""
+    passes = []
+    for _ in range(2):
+        runner = SweepRunner(cache=ResultCache(tmp_path / "cache"))
+        with use_runner(runner):
+            passes.append((paper._ablations(), runner.misses, runner.hits))
+    (first, first_misses, _), (second, misses, hits) = passes
+    assert first_misses > 0
+    assert (misses, hits) == (0, first_misses)
+    assert second == first
+
+
+class _QuarantiningRunner(SweepRunner):
+    """Runs every worker but ``dead``; each point of ``dead`` comes
+    back quarantined, as if its worker process died on every attempt."""
+
+    def __init__(self, dead):
+        super().__init__()
+        self.dead = dead
+
+    def map(self, fn, argtuples):
+        if fn is not self.dead:
+            return super().map(fn, argtuples)
+        return [QuarantinedPoint(i, point_identity(fn, args), attempts=3)
+                for i, args in enumerate(argtuples)]
+
+
+@pytest.mark.parametrize("dead, args", [
+    (_stencil_point, ("cpufree", paper._stencil_config((34, 1026, 1026)))),
+    (cg_point, ("cg_baseline", paper._cg_config(2))),
+])
+def test_a_quarantined_ablation_point_fails_by_name(paper_pass, dead, args):
+    with use_runner(_QuarantiningRunner(dead)), \
+            pytest.raises(RuntimeError, match="quarantined") as exc:
+        paper.evaluate_claims(paper_pass["figures"])
+    assert point_identity(dead, args) in str(exc.value)
 
 
 @pytest.mark.parametrize("extra", [["6.1"], ["--fault-profile", "transient"]])

@@ -14,7 +14,6 @@ from repro.perf import (
     ResultCache,
     SweepRunner,
     active_runner,
-    point_identity,
     use_runner,
 )
 from repro.perf.cache import source_digest
@@ -138,31 +137,6 @@ class TestResultCache:
         np.testing.assert_array_equal(loaded["array"], value["array"])
 
 
-class TestProfileSink:
-    def test_computed_points_are_profiled(self, tmp_path):
-        sink = []
-        runner = SweepRunner(profile_sink=sink)
-        assert runner.map(_square, [(2,), (3,)]) == [4, 9]
-        assert [identity for identity, _ in sink] == \
-            [point_identity(_square, (2,)), point_identity(_square, (3,))]
-        assert "cumulative" in sink[0][1]
-
-    def test_cache_hits_are_not_profiled(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        SweepRunner(cache=cache).map(_square, [(2,)])
-        sink = []
-        SweepRunner(cache=cache, profile_sink=sink).map(_square, [(2,), (3,)])
-        assert [identity for identity, _ in sink] == [point_identity(_square, (3,))]
-
-    def test_profiling_forces_in_process_execution(self):
-        """jobs > 1 with a sink must still profile (profiles cannot
-        cross a process pool), so execution stays in-process."""
-        sink = []
-        runner = SweepRunner(jobs=4, profile_sink=sink)
-        assert runner.map(_square, [(1,), (2,), (3,)]) == [1, 4, 9]
-        assert len(sink) == 3
-
-
 class TestBatchingUnderMetrics:
     """Batched runs record no metrics, so a metered sweep runs per
     point; without a registry the same group still fuses."""
@@ -200,7 +174,7 @@ def _counted_stencil_point(variant, config):
 
 
 class TestMeteredDedupe:
-    """Any sweep that is not profiled computes a repeated argtuple once;
+    """Every sweep computes a repeated argtuple once;
     under metrics its registry is merged once per occurrence, so the
     dump equals computing the point twice."""
 

@@ -11,8 +11,9 @@ All sweeps run the simulator in timing-only mode (``with_data=False``)
 — simulated time is identical with or without the backing NumPy data
 (asserted by the test suite), and correctness is covered by tests.
 
-Every sweep point is expressed as a call to a *top-level worker
-function* (``_stencil_point``, ``_dace_1d_point``, ...) mapped through
+Every sweep point is expressed as a call to one of two *top-level
+worker functions*, ``_stencil_point`` (a stencil variant) and
+``_dace_point`` (a generated DaCe program), mapped through
 :func:`repro.perf.active_runner`, so the CLI can fan points out over
 worker processes and cache their rows on disk; results are assembled
 in submission order, keeping figure tables byte-identical at any
@@ -89,7 +90,6 @@ class Row:
     per_iteration_us: float
     comm_us_per_iter: float = 0.0
     overlap_ratio: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -135,9 +135,7 @@ def weak_shape_3d(label_edge: int, gpus: int) -> tuple[int, int, int]:
     return (planes_per_gpu * gpus + 2, label_edge + 2, label_edge + 2)
 
 
-def _stencil_point(variant: str, config: StencilConfig) -> Row:
-    """Sweep worker: one stencil variant at one configuration."""
-    res = run_variant(variant, config)
+def _stencil_row(variant: str, config: StencilConfig, res) -> Row:
     return Row(
         series=variant,
         x=config.num_gpus,
@@ -145,6 +143,11 @@ def _stencil_point(variant: str, config: StencilConfig) -> Row:
         comm_us_per_iter=res.comm_time_us / config.iterations,
         overlap_ratio=res.overlap_ratio,
     )
+
+
+def _stencil_point(variant: str, config: StencilConfig) -> Row:
+    """Sweep worker: one stencil variant at one configuration."""
+    return _stencil_row(variant, config, run_variant(variant, config))
 
 
 def _stencil_group_key(args: tuple):
@@ -178,30 +181,12 @@ def _run_stencil_group(argtuples) -> list:
     variant = argtuples[0][0]
     configs = [config for _, config in argtuples]
     results = run_batched_stencil(variant, configs)
-    return [
-        Row(
-            series=variant,
-            x=config.num_gpus,
-            per_iteration_us=res.per_iteration_us,
-            comm_us_per_iter=res.comm_time_us / config.iterations,
-            overlap_ratio=res.overlap_ratio,
-        )
-        for (_, config), res in zip(argtuples, results)
-    ]
+    return [_stencil_row(variant, config, res)
+            for config, res in zip(configs, results)]
 
 
 register_batchable(_stencil_point, group_key=_stencil_group_key,
                    run=_run_stencil_group)
-
-
-def _stencil_rows(
-    shapes: dict[int, tuple[int, ...]],
-    variants: tuple[str, ...],
-    iterations: int,
-    *,
-    no_compute: bool = False,
-) -> list[Row]:
-    return _stencil_row_sets([(shapes, variants, iterations, no_compute)])[0]
 
 
 def _stencil_row_sets(
@@ -237,51 +222,31 @@ def _stencil_row_sets(
 # ------------------------------ Figure 2.2 ---------------------------------------
 
 
-def _fig22b_point(
-    variant: str,
-    shape8: tuple[int, ...],
-    iterations: int,
-    fault_profile: str | None = None,
-) -> Row:
-    """Sweep worker: full + no-compute run of one variant at 8 GPUs.
-
-    ``fault_profile`` travels in the argument tuple (not as ambient
-    state): it must reach pool workers and be part of the cache key.
-    """
-    full = run_variant(variant, StencilConfig(
-        global_shape=shape8, num_gpus=8, iterations=iterations, with_data=False,
-        fault_profile=fault_profile))
-    nocomp = run_variant(variant, StencilConfig(
-        global_shape=shape8, num_gpus=8, iterations=iterations,
-        with_data=False, no_compute=True, fault_profile=fault_profile))
-    comm_fraction = nocomp.total_time_us / full.total_time_us
-    return Row(
-        series=variant, x=8,
-        per_iteration_us=full.per_iteration_us,
-        comm_us_per_iter=nocomp.per_iteration_us,
-        overlap_ratio=full.overlap_ratio,
-        extra={"comm_fraction": comm_fraction},
-    )
-
-
 def fig22_motivation(iterations: int = 40) -> tuple[FigureData, FigureData]:
     """Fig 2.2: (a) pure communication/synchronization overhead with no
     computation, 2-8 GPUs; (b) communication fraction and overlap of
-    the CPU-controlled overlapping stencil versus CPU-Free."""
+    the CPU-controlled overlapping stencil versus CPU-Free.
+
+    One map runs 2.2a's no-compute points and the two full 8-GPU runs
+    (Fig 6.1-small's points); 2.2b reads its fractions off both."""
+    variants = ("baseline_overlap", "cpufree")
     shapes = {g: weak_shape_2d(SIZE_CLASSES_2D["small"], g) for g in (2, 4, 8)}
-    a_rows = _stencil_rows(shapes, ("baseline_overlap", "cpufree"), iterations,
-                           no_compute=True)
+    a_rows, full_rows = _stencil_row_sets([
+        (shapes, variants, iterations, True),
+        ({8: shapes[8]}, variants, iterations, False),
+    ])
     fig_a = FigureData("2.2a", "Pure communication overhead (no compute)", a_rows)
 
-    shape8 = weak_shape_2d(SIZE_CLASSES_2D["small"], 8)
-    variants = ("baseline_overlap", "cpufree")
-    b_rows = active_runner().map(
-        _fig22b_point,
-        [(variant, shape8, iterations, active_fault_profile()) for variant in variants])
+    b_rows: list[Row] = []
     headlines: dict[str, float] = {}
-    for variant, row in zip(variants, b_rows):
-        headlines[f"{variant}_comm_fraction"] = row.extra["comm_fraction"]
-        headlines[f"{variant}_overlap_ratio"] = row.overlap_ratio
+    for full in full_rows:
+        nocomp = fig_a.at(full.series, 8)
+        b_rows.append(Row(full.series, 8, full.per_iteration_us,
+                          comm_us_per_iter=nocomp.per_iteration_us,
+                          overlap_ratio=full.overlap_ratio))
+        headlines[f"{full.series}_comm_fraction"] = (
+            nocomp.per_iteration_us / full.per_iteration_us)
+        headlines[f"{full.series}_overlap_ratio"] = full.overlap_ratio
     fig_b = FigureData("2.2b", "Communication fraction and overlap at 8 GPUs",
                        b_rows, headlines)
     return fig_a, fig_b
@@ -368,7 +333,7 @@ def fig_multinode_weak(
     ``python -m repro.bench multinode``.
     """
     shapes = {g: weak_shape_2d(SIZE_CLASSES_2D[size], g) for g in gpu_counts}
-    rows = _stencil_rows(shapes, variants, iterations)
+    (rows,) = _stencil_row_sets([(shapes, variants, iterations, False)])
     label_edge = SIZE_CLASSES_2D[size]
     fig = FigureData(
         "MN", f"Multi-node 2D Jacobi weak scaling ({size}: {label_edge}^2 at 8 GPUs)",
@@ -497,58 +462,64 @@ def fig62_3d(
 # ------------------------------ Figure 6.3 ---------------------------------------
 
 
-def _pipelined_sdfg(build, kind, conjugates, options):
+#: DaCe programs by name: builder and CPU-Free conjugates
+_DACE_PROGRAMS = {
+    "1d": (build_jacobi_1d_sdfg, CONJUGATES_1D),
+    "2d": (build_jacobi_2d_sdfg, CONJUGATES_2D),
+}
+
+
+def _pipelined_sdfg(program, kind, options):
     """Build + transform one DaCe program (the warm-start template)."""
+    build, conjugates = _DACE_PROGRAMS[program]
     sdfg = build()
     if kind == "baseline":
         return baseline_pipeline(sdfg)
     return cpufree_pipeline(sdfg, conjugates, **dict(options))
 
 
-def _run_dace(build, pipeline_args, decomp_args, ranks: int,
-              fault_profile: str | None = None, *, options: tuple = (),
-              comm_scope: Scope = Scope.THREAD):
-    """One timing-only run of a transformed DaCe program.
+def _dace_point(program: str, kind: str, decomp, tsteps: int,
+                options: tuple = (), comm_scope: Scope = Scope.THREAD,
+                fault_profile: str | None = None) -> Row:
+    """Sweep worker: one timing-only run of a DaCe program.
 
-    ``options`` are ``(name, value)`` keyword pairs for
-    :func:`cpufree_pipeline` and ``comm_scope`` is the executor's put
-    scope: the figures keep the defaults, and the §5 ablations of
-    :mod:`repro.bench.paper` vary one of them per run.
+    ``program`` names a :data:`_DACE_PROGRAMS` entry, ``kind`` its
+    pipeline (``"baseline"`` or ``"cpufree"``) and ``decomp`` a frozen
+    decomposition dataclass, so its ``repr`` keys the point.  Timing-only
+    runs need just the per-rank scalar parameters, so the (huge) global
+    domain is never allocated.  ``options`` are ``(name, value)``
+    keyword pairs for :func:`cpufree_pipeline` and ``comm_scope`` is the
+    executor's put scope: the figures keep the defaults, and the §5
+    ablations of :mod:`repro.bench.paper` vary one of them per run.
     """
-    kind, conjugates = pipeline_args
     # The transformed graph depends only on (program, pipeline), never
-    # on the GPU count or fault profile, so one worker process builds
-    # it once and every later point starts from a deep copy.  The copy
-    # matters for determinism: executor plan attachment (and its
-    # hit/miss metrics) must happen freshly per point, so runs are
+    # on the decomposition or fault profile, so one worker process
+    # builds it once and every later point starts from a deep copy.
+    # The copy matters for determinism: executor plan attachment (and
+    # its hit/miss metrics) must happen freshly per point, so runs are
     # byte-identical whether the template was warm or cold.  Tasklet
     # *compiles* still amortize through the content-keyed code cache
     # in repro.sdfg.codegen.executor, which is metric-invisible.
-    sdfg = warm.warm(
-        ("dace-sdfg", build.__module__, build.__qualname__, kind, options),
-        lambda: _pipelined_sdfg(build, kind, conjugates, options),
-        copy=copy.deepcopy)
-    ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(ranks), tracer=Tracer(),
+    sdfg = warm.warm(("dace-sdfg", program, kind, options),
+                     lambda: _pipelined_sdfg(program, kind, options),
+                     copy=copy.deepcopy)
+    ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(decomp.ranks), tracer=Tracer(),
                           faults=get_injector(fault_profile))
     executor = SDFGExecutor(sdfg, ctx, with_data=False, comm_scope=comm_scope)
-    return executor.run(decomp_args)
-
-
-def _dace_1d_point(gpus: int, kind: str, per_gpu_n: int, tsteps: int,
-                   fault_profile: str | None = None) -> Row:
-    """Sweep worker: one (GPU count, pipeline) point of Fig 6.3a.
-
-    Timing-only runs need just the per-rank scalar parameters, so the
-    (huge) global domain is never allocated.
-    """
-    decomp = SlabDecomposition1D(per_gpu_n * gpus, gpus)
-    report = _run_dace(build_jacobi_1d_sdfg, (kind, CONJUGATES_1D),
-                       decomp.rank_params(tsteps), gpus, fault_profile)
+    report = executor.run(decomp.rank_params(tsteps))
     return Row(
-        series=f"dace_{kind}", x=gpus,
+        series=f"dace_{kind}", x=decomp.ranks,
         per_iteration_us=report.per_iteration_us,
         comm_us_per_iter=report.comm_time_us / report.iterations,
     )
+
+
+def _dace_rows(program: str, decomps: list, tsteps: int) -> list[Row]:
+    """Baseline and CPU-Free rows of ``program`` at each decomposition."""
+    tasks = [(program, kind, decomp, tsteps, (), Scope.THREAD,
+              active_fault_profile())
+             for decomp in decomps for kind in ("baseline", "cpufree")]
+    return active_runner().map(_dace_point, tasks)
 
 
 def fig63a_dace_1d(
@@ -558,9 +529,8 @@ def fig63a_dace_1d(
 ) -> FigureData:
     """Fig 6.3a: DaCe Jacobi 1D, discrete MPI baseline vs generated
     CPU-Free, weak scaling (constant elements per GPU)."""
-    tasks = [(gpus, kind, per_gpu_n, tsteps, active_fault_profile())
-             for gpus in gpu_counts for kind in ("baseline", "cpufree")]
-    rows = active_runner().map(_dace_1d_point, tasks)
+    rows = _dace_rows("1d", [SlabDecomposition1D(per_gpu_n * gpus, gpus)
+                             for gpus in gpu_counts], tsteps)
     fig = FigureData("6.3a", "DaCe Jacobi 1D: baseline vs CPU-Free", rows)
     top = max(gpu_counts)
     base, free = fig.at("dace_baseline", top), fig.at("dace_cpufree", top)
@@ -572,8 +542,9 @@ def fig63a_dace_1d(
     return fig
 
 
-def _fig63b_domain(base_edge: int, gpus: int) -> tuple[int, int]:
-    """Global interior for Fig 6.3b: doubles axis-0-first per GPU doubling."""
+def _fig63b_decomp(base_edge: int, gpus: int) -> GridDecomposition2D:
+    """Fig 6.3b's decomposition: the global interior doubles
+    axis-0-first per GPU doubling."""
     gy, gx = base_edge, base_edge
     q, axis = gpus, 0
     while q > 1:
@@ -583,22 +554,7 @@ def _fig63b_domain(base_edge: int, gpus: int) -> tuple[int, int]:
             gx *= 2
         axis ^= 1
         q //= 2
-    return gy, gx
-
-
-def _dace_2d_point(gpus: int, kind: str, base_edge: int, tsteps: int,
-                   fault_profile: str | None = None) -> Row:
-    """Sweep worker: one (GPU count, pipeline) point of Fig 6.3b."""
-    gy, gx = _fig63b_domain(base_edge, gpus)
-    decomp = GridDecomposition2D(gy, gx, gpus)
-    report = _run_dace(build_jacobi_2d_sdfg, (kind, CONJUGATES_2D),
-                       decomp.rank_params(tsteps), gpus, fault_profile)
-    return Row(
-        series=f"dace_{kind}", x=gpus,
-        per_iteration_us=report.per_iteration_us,
-        comm_us_per_iter=report.comm_time_us / report.iterations,
-        extra={"tile": decomp.tile, "grid": decomp.grid},
-    )
+    return GridDecomposition2D(gy, gx, gpus)
 
 
 def fig63b_dace_2d(
@@ -612,9 +568,8 @@ def fig63b_dace_2d(
     wide (py <= px), so P = 2 and 8 produce rectangular tiles with
     long strided columns — the baseline's unbalanced-partition bump.
     """
-    tasks = [(gpus, kind, base_edge, tsteps, active_fault_profile())
-             for gpus in gpu_counts for kind in ("baseline", "cpufree")]
-    rows = active_runner().map(_dace_2d_point, tasks)
+    rows = _dace_rows("2d", [_fig63b_decomp(base_edge, gpus) for gpus in gpu_counts],
+                      tsteps)
     fig = FigureData("6.3b", "DaCe Jacobi 2D: baseline vs CPU-Free (strided halos)", rows)
     top, lo = max(gpu_counts), min(gpu_counts)
     base = fig.at("dace_baseline", top)

@@ -27,19 +27,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.apps.cg import CGConfig, cg_point
-from repro.bench.figures import FigureData, _run_dace, _stencil_point
+from repro.bench.figures import FigureData, _dace_point, _stencil_point
 from repro.nvshmem.device import Scope
 from repro.perf import active_runner, completed
 from repro.sdfg.distributed import GridDecomposition2D, SlabDecomposition1D
-from repro.sdfg.programs import (
-    CONJUGATES_1D,
-    CONJUGATES_2D,
-    build_jacobi_1d_sdfg,
-    build_jacobi_2d_sdfg,
-)
 from repro.stencil import StencilConfig
 from repro.stencil.variants.auto_overlap import OverlapSchedule
-from repro.tune import autotune_tb_split, schedule_point
+from repro.tune import autotune_tb_split, trial_point
 
 __all__ = ["Claim", "ClaimResult", "evaluate_claims", "render_claims", "PAPER_CLAIMS"]
 
@@ -80,20 +74,17 @@ class ClaimResult:
 #: §4.1.2: the regimes the closed-form TB split is searched against
 _AUTOTUNE_SHAPES = ((2048 + 2, 2048 + 2), (4 * 8 + 2, 1024 + 2, 1024 + 2),
                     (8 * 32 + 2, 256 + 2))
-#: §5 programs: builder, conjugates, decomposition, time steps.  1D
-#: runs 1M elements per GPU; 2D the wide 2x4 grid of 1024^2 tiles.
-_GENERATED = {
-    "1d": (build_jacobi_1d_sdfg, CONJUGATES_1D, SlabDecomposition1D(8_000_000, 8), 11),
-    "2d": (build_jacobi_2d_sdfg, CONJUGATES_2D, GridDecomposition2D(2048, 4096, 8), 6),
-}
-#: §5.1/§5.3.2/§5.4: program, CPU-Free pipeline options, put scope
-_GENERATED_RUNS = {
-    "1d_relaxed": ("1d", (), Scope.THREAD),
-    "1d_conservative": ("1d", (("relax_barriers", False),), Scope.THREAD),
-    "1d_block_scope": ("1d", (), Scope.BLOCK),
-    "2d_nbi": ("2d", (), Scope.THREAD),
-    "2d_blocking": ("2d", (("nbi", False),), Scope.THREAD),
-    "2d_specialized": ("2d", (("specialize_comm", True),), Scope.THREAD),
+#: §5.1/§5.3.2/§5.4: generated CPU-Free programs, one pipeline option or
+#: the put scope changed per run.  1D is Fig 6.3a's 8-GPU point (1M
+#: elements per GPU, 11 steps), whose figure row is the relaxed run;
+#: 2D the wide 2x4 grid of 1024^2 tiles.
+_SLAB, _GRID = SlabDecomposition1D(8_000_000, 8), GridDecomposition2D(2048, 4096, 8)
+_DACE_ABLATIONS = {
+    "1d_conservative": ("1d", "cpufree", _SLAB, 11, (("relax_barriers", False),)),
+    "1d_block_scope": ("1d", "cpufree", _SLAB, 11, (), Scope.BLOCK),
+    "2d_nbi": ("2d", "cpufree", _GRID, 6),
+    "2d_blocking": ("2d", "cpufree", _GRID, 6, (("nbi", False),)),
+    "2d_specialized": ("2d", "cpufree", _GRID, 6, (("specialize_comm", True),)),
 }
 _CG_VARIANTS = ("cg_baseline", "cg_cpufree")
 
@@ -109,14 +100,6 @@ def _cg_config(gpus: int) -> CGConfig:
                     iterations=15, with_data=False)
 
 
-def _generated_point(program: str, options: tuple, comm_scope: Scope) -> float:
-    """Sweep worker: simulated µs of one generated CPU-Free program."""
-    build, conjugates, decomp, tsteps = _GENERATED[program]
-    return _run_dace(build, ("cpufree", conjugates), decomp.rank_params(tsteps),
-                     decomp.ranks, options=options,
-                     comm_scope=comm_scope).total_time_us
-
-
 def _map(fn, tasks: list[tuple]) -> dict:
     """``{task: fn(*task)}`` through the active runner; a point whose
     worker died on every attempt fails the evaluation by its identity."""
@@ -125,8 +108,7 @@ def _map(fn, tasks: list[tuple]) -> dict:
 
 def _ablations() -> dict:
     """Run every experiment that is not a report figure, once, as sweep
-    points of the active runner.  Stencil and CG entries are
-    per-iteration times, the generated programs' entries total times."""
+    points of the active runner.  Every time is per iteration."""
     thin, d256, d2048 = (_stencil_config(shape) for shape in (
         (4 * 8 + 2, 1024 + 2, 1024 + 2), (256 + 2, 256 + 2), (2048 + 2, 2048 + 2)))
     # §4: one persistent kernel vs two co-resident ones
@@ -137,9 +119,9 @@ def _ablations() -> dict:
         *((v, config) for config, variants in kernels.items() for v in variants),
     ]).items()}
     # §4.1.2's fixed split: one boundary block per side
-    fixed = {config: total / config.iterations for (_, config), total in _map(
-        schedule_point, [(OverlapSchedule(1, 1), c) for c in (thin, d2048)]).items()}
-    generated = _map(_generated_point, list(_GENERATED_RUNS.values()))
+    fixed = {config: trial["per_iteration_us"] for (_, config), trial in _map(
+        trial_point, [(OverlapSchedule(1, 1), c) for c in (thin, d2048)]).items()}
+    generated = _map(_dace_point, list(_DACE_ABLATIONS.values()))
     cg = _map(cg_point, [(v, _cg_config(gpus)) for gpus in (2, 8) for v in _CG_VARIANTS])
     return {
         "tb_split_3d": {"proportional": t["cpufree", thin], "fixed": fixed[thin]},
@@ -149,7 +131,8 @@ def _ablations() -> dict:
             .formula_regret_percent for shape in _AUTOTUNE_SHAPES),
         "coresident_256": {v: t[v, d256] for v in kernels[d256]},
         "coresident_2048": {v: t[v, d2048] for v in kernels[d2048]},
-        **{name: generated[task] for name, task in _GENERATED_RUNS.items()},
+        **{name: generated[task].per_iteration_us
+           for name, task in _DACE_ABLATIONS.items()},
         "cg": {gpus: {v: cg[v, _cg_config(gpus)] for v in _CG_VARIANTS}
                for gpus in (2, 8)},
     }
@@ -176,6 +159,11 @@ def _min_step(fig: FigureData, order: tuple[str, ...], gpus: int) -> float:
     """Smallest ratio between neighbours of ``order`` (>= 1: ordered)."""
     times = [_t(fig, series, gpus) for series in order]
     return min(b / a for a, b in zip(times, times[1:]))
+
+
+def _relaxed_1d(f: dict) -> float:
+    """The generated 1D program with relaxed grid syncs: Fig 6.3a at 8 GPUs."""
+    return _t(f["6.3a"], "dace_cpufree", 8)
 
 
 def _cg_t(f: dict, gpus: int, variant: str) -> float:
@@ -362,7 +350,7 @@ PAPER_CLAIMS: tuple[Claim, ...] = (
     Claim("relaxed-barriers", "§5.1",
           "generated 1D: relaxed grid syncs speedup vs barrier after every state",
           None, "%", 1.0, INF,
-          lambda f: _gain(f["1d_conservative"], f["1d_relaxed"])),
+          lambda f: _gain(f["1d_conservative"], _relaxed_1d(f))),
     Claim("nbi", "§5.3.2",
           "generated 2D: nbi puts speedup vs blocking puts",
           None, "%", 2.0, INF,
@@ -370,7 +358,7 @@ PAPER_CLAIMS: tuple[Claim, ...] = (
     Claim("block-scope", "§5.4",
           "generated 1D: block-scope over thread-scope put time",
           None, "x", -INF, 1.001,
-          lambda f: f["1d_block_scope"] / f["1d_relaxed"]),
+          lambda f: f["1d_block_scope"] / _relaxed_1d(f)),
     Claim("specialized-codegen", "§5.4",
           "generated 2D: TB-specialized speedup vs single-group kernel",
           None, "%", 10.0, INF,

@@ -212,20 +212,6 @@ class MetricsRegistry:
 
         return dumps_stable(self.to_dict())
 
-    def merge_registry(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in directly — equivalent to
-        ``merge_dict(other.to_dict())`` without the dump round-trip
-        (the fast path for in-process sweep merges)."""
-        for key in sorted(other._metrics):
-            metric = other._metrics[key]
-            mine = self._metrics.get(key)
-            if mine is None:
-                mine = self._metrics[key] = (
-                    Histogram(metric.edges) if key[0] == "histogram"
-                    else _KINDS[key[0]]()
-                )
-            mine._merge(metric._dump())
-
     def merge_dict(self, payload: dict[str, Any]) -> None:
         """Fold a :meth:`to_dict` dump into this registry (counters and
         histograms add; gauges take the incoming value).  Used to merge

@@ -240,9 +240,6 @@ class SweepRunner:
             value = results[i]
             if isinstance(value, QuarantinedPoint):
                 return
-            if with_metrics and isinstance(value[1], MetricsRegistry):
-                # normalize to the picklable cached form
-                value = results[i] = (value[0], value[1].to_dict())
             self.cache.put(keys[i], value)
 
         if pending:
@@ -261,14 +258,8 @@ class SweepRunner:
                                store, variant)
             else:
                 for i in pending:
-                    if with_metrics:
-                        # in-process: keep the registry itself so the
-                        # merge can skip the dump round-trip
-                        registry = MetricsRegistry()
-                        with use_metrics(registry):
-                            results[i] = fn(*argtuples[i]), registry
-                    else:
-                        results[i] = fn(*argtuples[i])
+                    results[i] = (_call_with_metrics(fn, argtuples[i])
+                                  if with_metrics else fn(*argtuples[i]))
                     store(i)
         if computed:
             # duplicate argtuples computed once (deterministic workers
@@ -290,10 +281,7 @@ class SweepRunner:
                     unwrapped.append(value)
                     continue
                 result, dump = value
-                if isinstance(dump, MetricsRegistry):
-                    ambient.merge_registry(dump)
-                else:
-                    ambient.merge_dict(dump)
+                ambient.merge_dict(dump)
                 unwrapped.append(result)
             results = unwrapped
             # cache hit/miss tallies stay OFF the registry: they reflect

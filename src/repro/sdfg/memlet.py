@@ -157,10 +157,15 @@ class Memlet:
 
 
 class _Full:
-    """Sentinel: range extends to the end of the axis."""
+    """Sentinel: range extends to the end of the axis.  Copies and
+    pickles resolve to the one instance, so ``is _FULL`` holds in a
+    copied SDFG too."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<end>"
+
+    def __reduce__(self) -> str:
+        return "_FULL"
 
 
 _FULL = _Full()

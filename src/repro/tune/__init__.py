@@ -17,28 +17,31 @@ winner is the minimum ``(per_iteration_us, grid position)`` — so ties
 resolve to the earlier, simpler candidate — and all JSON goes through
 :mod:`repro.obs.stablejson`.
 
-:func:`autotune_tb_split` is the narrower search behind the §4.1.2
-evaluation: it measures cpufree at every boundary block count (an
-``AutoOverlap`` schedule with one chunk and the split overridden, one
-:func:`schedule_point` each, mapped through the same runner) and
-reports how far the closed-form split lands from the empirical optimum.
+Every schedule measurement is one :func:`trial_point`: ``AutoOverlap``
+under one explicit schedule.  :func:`tune` maps one per grid candidate.
+:func:`autotune_tb_split`, the narrower search behind the §4.1.2
+evaluation, maps one per boundary block count of a one-chunk schedule
+(cpufree with the split overridden) and reports how far the closed-form
+split lands from the empirical optimum.  The paper's fixed 1-block
+split is one more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-# reuses the figure suite's sweep worker so the cpufree baseline point
-# shares cache entries with `repro.bench` runs of the same config
+# reuses the figure suite's sweep worker and figure so the cpufree
+# points share cache entries with `repro.bench` runs of the same config
 from repro.bench.figures import (
     DEFAULT_GPU_COUNTS,
     SIZE_CLASSES_2D,
     _stencil_point,
+    fig_auto_overlap,
     weak_shape_2d,
     win_loss,
 )
 from repro.core.specialization import SpecializationPlan
-from repro.perf import SweepRunner, active_runner, completed
+from repro.perf import SweepRunner, active_runner, completed, use_runner
 from repro.stencil.base import StencilConfig
 from repro.stencil.variants.auto_overlap import (
     CHUNK_CANDIDATES,
@@ -56,7 +59,6 @@ __all__ = [
     "candidate_splits",
     "schedule_grid",
     "schedule_payload",
-    "schedule_point",
     "trial_point",
     "tune",
     "win_loss_payload",
@@ -88,7 +90,7 @@ class AutotuneReport:
 
     best: SpecializationPlan
     formula: SpecializationPlan
-    #: measured total time per candidate boundary_tb_per_side
+    #: measured per-iteration time per candidate boundary_tb_per_side
     measurements: dict[int, float]
 
     @property
@@ -102,10 +104,19 @@ class AutotuneReport:
         return (formula_time - best_time) / best_time * 100.0
 
 
-def schedule_point(schedule: OverlapSchedule, config: StencilConfig) -> float:
-    """Sweep worker: total simulated µs of ``AutoOverlap`` under one
-    explicit schedule."""
-    return AutoOverlap(config, schedule).run().total_time_us
+def trial_point(schedule: OverlapSchedule, config: StencilConfig) -> dict:
+    """Sweep worker: per-iteration time and overlap ratio of
+    ``AutoOverlap`` under one explicit schedule.
+
+    Top-level on purpose: the :mod:`repro.perf` cache keys points by
+    ``qualname + repr(args) + source digest``, so ``(schedule, config)``
+    is the trial's cache identity.
+    """
+    res = AutoOverlap(config, schedule).run()
+    return {
+        "per_iteration_us": res.per_iteration_us,
+        "overlap_ratio": res.overlap_ratio,
+    }
 
 
 def autotune_tb_split(config: StencilConfig, *,
@@ -113,7 +124,7 @@ def autotune_tb_split(config: StencilConfig, *,
     """Search boundary block counts for the CPU-Free stencil variant.
 
     The search runs timing-only regardless of ``config.with_data``, one
-    :func:`schedule_point` per candidate through the active runner (so
+    :func:`trial_point` per candidate through the active runner (so
     ``--jobs`` and the result cache apply).  Returns the empirically
     best plan alongside the formula's plan, which is always among the
     measured candidates.
@@ -126,10 +137,11 @@ def autotune_tb_split(config: StencilConfig, *,
     candidates = set(candidate_splits(tb_total))
     candidates.add(formula_plan.boundary_tb_per_side)
     splits = sorted(candidates)
-    times = completed(active_runner().map(
-        schedule_point,
+    trials = completed(active_runner().map(
+        trial_point,
         [(OverlapSchedule(1, split), timing_config) for split in splits]))
-    measurements = dict(zip(splits, times))
+    measurements = {split: trial["per_iteration_us"]
+                    for split, trial in zip(splits, trials)}
     best_split = min(measurements, key=lambda k: (measurements[k], k))
     return AutotuneReport(
         best=SpecializationPlan(tb_total=tb_total,
@@ -144,26 +156,6 @@ def _config(size: str, gpus: int, iterations: int) -> StencilConfig:
         global_shape=weak_shape_2d(SIZE_CLASSES_2D[size], gpus),
         num_gpus=gpus, iterations=iterations, with_data=False,
     )
-
-
-def trial_point(size: str, gpus: int, iterations: int, chunks: int,
-                boundary_tb_per_side: int | None, fuse_boundary: bool) -> dict:
-    """Sweep worker: measure one schedule candidate.
-
-    Top-level and primitive-argument on purpose: the :mod:`repro.perf`
-    cache keys points by ``qualname + repr(args) + source digest``, so
-    this signature is the trial's cache identity.
-    """
-    schedule = OverlapSchedule(
-        chunks=chunks,
-        boundary_tb_per_side=boundary_tb_per_side,
-        fuse_boundary=fuse_boundary,
-    )
-    res = AutoOverlap(_config(size, gpus, iterations), schedule=schedule).run()
-    return {
-        "per_iteration_us": res.per_iteration_us,
-        "overlap_ratio": res.overlap_ratio,
-    }
 
 
 def schedule_grid(config: StencilConfig, *,
@@ -243,12 +235,7 @@ def tune(size: str, gpus: int, iterations: int = 20, *,
     model = choose_schedule(config)
     if model not in grid:
         grid.append(model)
-    tasks = [
-        (size, gpus, iterations, s.chunks, s.boundary_tb_per_side,
-         s.fuse_boundary)
-        for s in grid
-    ]
-    measured = runner.map(trial_point, tasks)
+    measured = runner.map(trial_point, [(s, config) for s in grid])
     cpufree_row = runner.map(_stencil_point, [("cpufree", config)])[0]
     best_i = min(range(len(grid)),
                  key=lambda i: (measured[i]["per_iteration_us"], i))
@@ -291,18 +278,13 @@ def win_loss_payload(sizes: tuple[str, ...] = ("small", "medium", "large"),
                      runner: SweepRunner | None = None) -> dict:
     """``auto_overlap`` vs hand-tuned ``cpufree`` across the figure
     suite's (size × gpus) points — the ``BENCH_PR10.json`` table."""
-    runner = runner if runner is not None else active_runner()
-    variants = ("cpufree", "auto_overlap")
-    tasks = [
-        (variant, _config(size, gpus, iterations))
-        for size in sizes for gpus in gpu_counts for variant in variants
-    ]
-    rows = runner.map(_stencil_point, tasks)
+    with use_runner(runner if runner is not None else active_runner()):
+        fig = fig_auto_overlap(sizes, gpu_counts, iterations)
+    rows = iter(fig.rows)
     points: list[dict] = []
-    it = iter(rows)
     for size in sizes:
         for gpus in gpu_counts:
-            cf, ao = next(it), next(it)
+            cf, ao = next(rows), next(rows)
             points.append({
                 "size": size,
                 "gpus": gpus,
@@ -314,16 +296,13 @@ def win_loss_payload(sizes: tuple[str, ...] = ("small", "medium", "large"),
                 "auto_overlap_overlap_ratio": ao.overlap_ratio,
                 "outcome": win_loss(cf, ao),
             })
-    outcomes = [point["outcome"] for point in points]
-    wins, ties, losses = (outcomes.count(o) for o in ("win", "tie", "loss"))
-    total = len(points)
     return {
         "format": WINLOSS_FORMAT,
         "app": "jacobi2d",
         "iterations": iterations,
         "points": points,
-        "wins": wins,
-        "ties": ties,
-        "losses": losses,
-        "win_or_tie_fraction": (wins + ties) / total if total else 0.0,
+        "wins": int(fig.headlines["wins"]),
+        "ties": int(fig.headlines["ties"]),
+        "losses": int(fig.headlines["losses"]),
+        "win_or_tie_fraction": fig.headlines["win_or_tie_fraction"],
     }

@@ -12,6 +12,7 @@ from repro.bench import (
     weak_shape_3d,
 )
 from repro.bench.figures import SIZE_CLASSES_2D, STENCIL_VARIANTS
+from repro.perf import SweepRunner, use_runner
 
 
 class TestShapes:
@@ -107,19 +108,21 @@ class TestSharesAreNotClamped:
             total = 120.0 if config.no_compute else 100.0
             return SimpleNamespace(total_time_us=total,
                                    per_iteration_us=total / config.iterations,
-                                   overlap_ratio=0.0)
+                                   comm_time_us=0.0, overlap_ratio=0.0)
 
         monkeypatch.setattr(figures, "run_variant", run_variant)
-        row = figures._fig22b_point("baseline_overlap", weak_shape_2d(256, 8), 4)
-        assert row.extra["comm_fraction"] == pytest.approx(1.2)
+        with use_runner(SweepRunner(batch=False)):
+            _, fig_b = figures.fig22_motivation(iterations=4)
+        assert fig_b.headlines["baseline_overlap_comm_fraction"] == pytest.approx(1.2)
+        assert fig_b.at("cpufree", 8).comm_us_per_iter == pytest.approx(30.0)
 
     def test_comm_above_total_reports_share_above_100(self, monkeypatch):
         from repro.bench import figures
 
-        def dace_point(gpus, kind, base_edge, tsteps, fault_profile=None):
-            return Row(f"dace_{kind}", gpus, 10.0, comm_us_per_iter=12.0)
+        def dace_point(program, kind, decomp, tsteps, *rest):
+            return Row(f"dace_{kind}", decomp.ranks, 10.0, comm_us_per_iter=12.0)
 
-        monkeypatch.setattr(figures, "_dace_2d_point", dace_point)
+        monkeypatch.setattr(figures, "_dace_point", dace_point)
         fig = figures.fig63b_dace_2d(gpu_counts=(1, 8))
         assert fig.headlines["baseline_comm_fraction_%"] == pytest.approx(120.0)
 

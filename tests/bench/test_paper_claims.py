@@ -20,6 +20,8 @@ from repro.bench.figures import _stencil_point
 from repro.bench.paper import PAPER_CLAIMS, Claim, ClaimResult, render_claims
 from repro.perf import ResultCache, SweepRunner, point_identity, use_runner
 from repro.perf.sweep import QuarantinedPoint
+from repro.sdfg.codegen import SDFGExecutor
+from repro.sdfg.serialize import sdfg_to_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden" / "bench_report.md"
 
@@ -27,9 +29,17 @@ GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden" / "bench_repo
 @pytest.fixture(scope="module")
 def paper_pass(tmp_path_factory):
     """One ``--paper`` pass; records the figures, ablations and results
-    it evaluated next to its exit code and ``--out`` text."""
-    seen = {}
+    it evaluated next to its exit code and ``--out`` text, and every
+    DaCe program it ran: the transformed graph, put scope and per-rank
+    parameters of each ``SDFGExecutor.run``."""
+    seen = {"dace_runs": []}
     evaluate, ablations = paper.evaluate_claims, paper._ablations
+    run = SDFGExecutor.run
+
+    def recording_run(self, rank_args):
+        seen["dace_runs"].append(
+            (sdfg_to_json(self.sdfg), self.comm_scope, repr(rank_args)))
+        return run(self, rank_args)
 
     def recording_evaluate(figures):
         seen["figures"] = figures
@@ -44,6 +54,7 @@ def paper_pass(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(paper, "evaluate_claims", recording_evaluate)
         mp.setattr(paper, "_ablations", recording_ablations)
+        mp.setattr(SDFGExecutor, "run", recording_run)
         seen["exit"] = main(["--paper", "--no-cache", "--jobs", "1", "--out", str(out)])
     seen["text"] = out.read_text()
     return seen
@@ -127,6 +138,15 @@ def test_cli_profile_covers_the_claims(paper_pass, monkeypatch, tmp_path):
     assert main(["--paper", "--no-cache", "--profile", str(prof)]) == 0
     profiled = {name for _, _, name in pstats.Stats(str(prof)).stats}
     assert {"evaluate_claims", "replayed_ablations"} <= profiled
+
+
+def test_no_dace_configuration_runs_twice(paper_pass):
+    """A claim that reads a figure's point reads the figure's row: the
+    pass simulates each generated program configuration once (Fig 6.3a
+    at 8 GPUs is also §5.1's relaxed-barrier run)."""
+    runs = paper_pass["dace_runs"]
+    assert len(runs) >= 16  # the 6.3a and 6.3b points at least
+    assert len(set(runs)) == len(runs)
 
 
 def test_ablations_replay_from_the_cache(tmp_path):

@@ -12,10 +12,12 @@ budget) flips the source digest when edited.
 
 import pytest
 
-from repro.bench.figures import _dace_1d_point, _stencil_point
+from repro.bench.figures import _dace_point, _stencil_point
 from repro.faults.profiles import PROFILES, get_plan, use_fault_profile
+from repro.nvshmem.device import Scope
 from repro.perf import ResultCache, SweepRunner, use_runner
 from repro.perf.cache import point_identity, source_digest
+from repro.sdfg.distributed import GridDecomposition2D, SlabDecomposition1D
 from repro.stencil import StencilConfig
 
 
@@ -24,8 +26,10 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
-def _dace_key(cache, fault_profile=None):
-    return cache.key(_dace_1d_point, (8, "cpufree", 1000, 3, fault_profile))
+def _dace_key(cache, fault_profile=None, *, decomp=SlabDecomposition1D(8000, 8),
+              options=(), comm_scope=Scope.THREAD):
+    return cache.key(_dace_point, ("1d", "cpufree", decomp, 3, options, comm_scope,
+                                   fault_profile))
 
 
 class TestKeyPerturbation:
@@ -66,10 +70,22 @@ class TestKeyPerturbation:
                             lambda: "deadbeef" * 8)
         assert _dace_key(cache) != before
 
+    def test_decomposition_options_and_scope_perturb_key(self, cache):
+        """The decomposition is a frozen dataclass: its repr carries
+        every field, so two decompositions of one rank count differ."""
+        keys = {
+            _dace_key(cache),
+            _dace_key(cache, decomp=SlabDecomposition1D(16000, 8)),
+            _dace_key(cache, decomp=GridDecomposition2D(64, 128, 8)),
+            _dace_key(cache, options=(("relax_barriers", False),)),
+            _dace_key(cache, comm_scope=Scope.BLOCK),
+        }
+        assert len(keys) == 5
+
     def test_metrics_variant_perturbs_key(self, cache):
-        plain = cache.key(_dace_1d_point, (2, "cpufree", 1000, 3))
-        metered = cache.key(_dace_1d_point, (2, "cpufree", 1000, 3),
-                            variant="+metrics")
+        args = ("1d", "cpufree", SlabDecomposition1D(2000, 2), 3)
+        plain = cache.key(_dace_point, args)
+        metered = cache.key(_dace_point, args, variant="+metrics")
         assert plain != metered
 
     def test_source_digest_is_stable_within_process(self):

@@ -8,7 +8,7 @@ the figure report.
 import numpy as np
 
 import repro.perf.sweep as sweep_mod
-from repro.bench.figures import _dace_1d_point, _stencil_point
+from repro.bench.figures import _dace_point, _stencil_point
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.perf import (
     ResultCache,
@@ -17,6 +17,7 @@ from repro.perf import (
     use_runner,
 )
 from repro.perf.cache import source_digest
+from repro.sdfg.distributed import SlabDecomposition1D
 from repro.stencil import StencilConfig
 
 
@@ -46,9 +47,10 @@ class TestRunnerDeterminism:
         assert parallel == serial
 
     def test_parallel_dace_matches_serial(self):
-        tasks = [(g, kind, 1000, 3) for g in (1, 2) for kind in ("baseline", "cpufree")]
-        serial = SweepRunner(jobs=1).map(_dace_1d_point, tasks)
-        parallel = SweepRunner(jobs=2).map(_dace_1d_point, tasks)
+        tasks = [("1d", kind, SlabDecomposition1D(1000 * g, g), 3)
+                 for g in (1, 2) for kind in ("baseline", "cpufree")]
+        serial = SweepRunner(jobs=1).map(_dace_point, tasks)
+        parallel = SweepRunner(jobs=2).map(_dace_point, tasks)
         assert parallel == serial
 
     def test_pool_path_resolves_every_point(self, monkeypatch):

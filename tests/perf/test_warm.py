@@ -50,13 +50,14 @@ class TestDaceWarmStart:
         each point still attaches executor plans to its own copy, so
         per-point metrics (plan_cache hit/miss) are identical whether
         the template was warm or cold."""
-        from repro.bench.figures import _dace_1d_point
+        from repro.bench.figures import _dace_point
         from repro.obs.metrics import MetricsRegistry, use_metrics
+        from repro.sdfg.distributed import SlabDecomposition1D
 
         def point_metrics():
             registry = MetricsRegistry()
             with use_metrics(registry):
-                row = _dace_1d_point(2, "cpufree", 1000, 3)
+                row = _dace_point("1d", "cpufree", SlabDecomposition1D(2000, 2), 3)
             return row, registry.to_dict()
 
         cold_row, cold_metrics = point_metrics()

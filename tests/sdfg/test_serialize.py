@@ -1,6 +1,8 @@
 """Round-trip tests for SDFG JSON serialization."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -88,6 +90,15 @@ class TestRoundTrip:
         """Serializing twice gives identical text (diffable artifacts)."""
         sdfg = baseline_pipeline(build_jacobi_1d_sdfg())
         assert sdfg_to_json(sdfg) == sdfg_to_json(sdfg)
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda sdfg: pickle.loads(pickle.dumps(sdfg))],
+        ids=["deepcopy", "pickle"])
+    def test_copies_serialize_like_the_original(self, clone):
+        """Whole-axis memlet ranges keep their end-of-axis sentinel
+        through a copy (warm-started sweep points run deep copies)."""
+        sdfg = cpufree_pipeline(build_jacobi_1d_sdfg(), CONJUGATES_1D)
+        assert sdfg_to_json(clone(sdfg)) == sdfg_to_json(sdfg)
 
     def test_double_roundtrip_fixed_point(self):
         sdfg = cpufree_pipeline(build_jacobi_2d_sdfg(), CONJUGATES_2D)

@@ -87,7 +87,8 @@ RUNS = {
     "per-point": lambda: figures._stencil_point(
         "baseline_copy", _timing((66, 130))).per_iteration_us > 0,
     "batched": _batched_point,
-    "dace-6.3a": lambda: figures._dace_1d_point(2, "baseline", 1000, 4).x == 2,
+    "dace-6.3a": lambda: figures._dace_point(
+        "1d", "baseline", SlabDecomposition1D(2000, 2), 4).x == 2,
     "watchdog-transient": lambda: run_variant(
         "cpufree", _timing((66, 130), fault_profile="transient@3")).total_time_us > 0,
     "crashed-chaos-cell": lambda: run_cell(

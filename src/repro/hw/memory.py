@@ -95,13 +95,22 @@ class MemoryManager:
         dtype: np.dtype | type = np.float64,
         storage: Storage = Storage.GLOBAL,
         fill: float | None = 0.0,
+        *,
+        data: np.ndarray | None = None,
     ) -> DeviceBuffer:
-        """Allocate a buffer on ``device``; zero-filled by default."""
+        """Allocate a buffer on ``device``; zero-filled by default.  With
+        ``data`` the buffer adopts that array instead, which must already
+        have ``shape`` and ``dtype``: nothing is allocated or filled, but
+        the bytes count against the device's capacity all the same."""
         self._check_device(device)
-        if fill is None:
-            data = np.empty(shape, dtype=dtype)
-        else:
-            data = np.full(shape, fill, dtype=dtype)
+        if data is None:
+            data = (np.empty(shape, dtype=dtype) if fill is None
+                    else np.full(shape, fill, dtype=dtype))
+        elif (data.shape != ((shape,) if isinstance(shape, int) else tuple(shape))
+              or data.dtype != np.dtype(dtype)):
+            raise ValueError(
+                f"device {device}: buffer {name!r} cannot adopt a {data.dtype} "
+                f"array of shape {data.shape} as {np.dtype(dtype)} {shape}")
         if self.capacity_bytes is not None:
             if self._used[device] + data.nbytes > self.capacity_bytes:
                 raise MemoryError(

@@ -8,7 +8,7 @@ and handing device kernels their per-PE device context
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Generator, Sequence
 from functools import partial
 from typing import Any
 
@@ -232,13 +232,16 @@ class NVSHMEMRuntime:
         shape: tuple[int, ...] | int,
         dtype: np.dtype | type = np.float64,
         fill: float | None = 0.0,
+        data: Sequence[np.ndarray | None] | None = None,
     ) -> SymmetricArray:
-        """``nvshmem_malloc``: collective symmetric allocation.
+        """``nvshmem_malloc``: collective symmetric allocation; ``data``
+        holds per-PE arrays to adopt as the PE buffers
+        (:meth:`SymmetricHeap.malloc`).
 
         When a sanitizer is attached to the context, the allocation is
         registered for happens-before access tracking.
         """
-        arr = self.heap.malloc(name, shape, dtype, fill)
+        arr = self.heap.malloc(name, shape, dtype, fill, data)
         sanitizer = self.ctx.sanitizer
         if sanitizer is not None:
             sanitizer.register_array(arr)

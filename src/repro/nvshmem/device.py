@@ -126,35 +126,29 @@ class NVSHMEMDevice:
         # accumulation slots, shared runtime-wide — device handles are
         # short-lived, and registry lookups are too slow for the per-op
         # path (the runtime flushes these into the registry post-run);
-        # the registry is bound here because ctx.metrics is fixed for
-        # the context's lifetime and the property hop costs on hot paths
-        self._metrics = runtime.ctx.metrics
+        # the registry, context and cost model are bound here because
+        # they are fixed for the context's lifetime and the attribute
+        # hops cost on hot paths
+        self._ctx = ctx = runtime.ctx
+        self._cost = ctx.cost
+        self._metrics = ctx.metrics
         self._op_acc = runtime._op_acc
         self._wait_acc = runtime._wait_acc
         self._wait_hist = runtime._wait_hist
         #: fault injector (None = happy path, zero overhead)
-        self._faults = runtime.ctx.faults
+        self._faults = ctx.faults
         #: hierarchical topology, or None on a flat node — cross-domain
         #: puts take the proxy-initiated rail path instead of NVLink
-        topology = runtime.ctx.topology
+        topology = ctx.topology
         self._cluster = topology if topology.num_domains > 1 else None
 
     # -- internals -------------------------------------------------------------
 
-    @property
-    def _ctx(self):
-        return self.runtime.ctx
-
-    @property
-    def _cost(self):
-        return self.runtime.ctx.cost
-
     def _bw_fraction(self, scope: Scope) -> float:
-        return {
-            Scope.THREAD: self._cost.put_thread_bw_fraction,
-            Scope.WARP: self._cost.put_warp_bw_fraction,
-            Scope.BLOCK: 1.0,
-        }[scope]
+        # identity tests: a dict keyed by Scope hashes the enum in Python
+        if scope is Scope.THREAD:
+            return self._cost.put_thread_bw_fraction
+        return self._cost.put_warp_bw_fraction if scope is Scope.WARP else 1.0
 
     def _wire_time(self, dest_pe: int, nbytes: int, scope: Scope) -> float:
         cluster = self._cluster

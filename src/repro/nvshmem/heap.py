@@ -16,6 +16,7 @@ DES: each signal word is a :class:`repro.sim.Flag`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -141,12 +142,24 @@ class SymmetricHeap:
         shape: tuple[int, ...] | int,
         dtype: np.dtype | type = np.float64,
         fill: float | None = 0.0,
+        data: Sequence[np.ndarray | None] | None = None,
     ) -> SymmetricArray:
-        """``nvshmem_malloc``: collective same-size allocation on all PEs."""
+        """``nvshmem_malloc``: collective same-size allocation on all PEs.
+
+        ``data``, one entry per PE, adopts each array that is not None as
+        that PE's buffer (see :meth:`MemoryManager.alloc`); the other PEs
+        allocate.
+        """
         if name in self._arrays:
             raise ValueError(f"symmetric array {name!r} already allocated")
+        if data is None:
+            data = [None] * self.n_pes
+        elif len(data) != self.n_pes:
+            raise ValueError(f"symmetric array {name!r}: {len(data)} PE arrays "
+                             f"for {self.n_pes} PEs")
         buffers = [
-            self.memory.alloc(pe, f"sym:{name}", shape, dtype, Storage.SYMMETRIC, fill)
+            self.memory.alloc(pe, f"sym:{name}", shape, dtype, Storage.SYMMETRIC, fill,
+                              data=data[pe])
             for pe in range(self.n_pes)
         ]
         arr = SymmetricArray(name, buffers)

@@ -22,6 +22,16 @@ rank whose device loop runs the states back-to-back, communication
 issue at *thread* scope (the generated code cannot use the
 block-cooperative calls, §5.4), with barriers only on the relaxed
 subgraph edges computed by the transform.
+
+Arguments bind by reference, as a DaCe SDFG call binds them: each
+ndarray a rank passes *is* that rank's array, and the run writes its
+results into it.  A symmetric (``GPU_NVSHMEM``) array's collective
+``nvshmem_malloc`` adopts the ranks' arguments as its PE buffers.  Only
+arrays no rank passes (outputs, transients) are allocated, zero-filled.
+``run`` raises ``ValueError``, naming the rank and the array, on an
+argument it cannot bind in place: one that is not a writeable ndarray
+of the declared shape and dtype, two that may share memory (in one rank
+or across ranks), or a symmetric array passed on some ranks only.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from itertools import groupby
 from typing import Any, Callable
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from repro.core import LocalSpinFlag, TBGroup, launch_persistent
 from repro.nvshmem import NVSHMEMRuntime, WaitCond
@@ -192,8 +203,15 @@ class SDFGExecutor:
     # -- entry point --------------------------------------------------------------
 
     def run(self, rank_args: list[dict[str, Any]]) -> ExecutionReport:
-        """``rank_args[r]`` maps array names to initial NumPy arrays and
-        param/symbol names to ints for rank ``r``.  Callable once."""
+        """``rank_args[r]`` maps array names to NumPy arrays and
+        param/symbol names to ints for rank ``r``.  Callable once.
+
+        With data, the run works in place: ``report.arrays[r][name] is
+        rank_args[r][name]``, holding the results.  An array argument
+        must be a writeable ndarray of the declared shape and dtype, no
+        two may share memory, and a symmetric array is passed on every
+        rank or on none; otherwise ``ValueError`` names the rank and the
+        array.  Without data, array arguments are ignored."""
         num_ranks = len(rank_args)
         if num_ranks > self.ctx.num_gpus:
             raise ValueError("more ranks than GPUs")
@@ -210,6 +228,8 @@ class SDFGExecutor:
             ).inc()
         self._check_symmetric_shapes(rank_args)
         ranks = [self._prepare_rank(r, args) for r, args in enumerate(rank_args)]
+        if self.with_data:
+            self._bind_arrays(rank_args, ranks)
         loops, bindings = self.sdfg.loop_regions(), ranks[0].bindings
         iterations = max(1, evaluate_expr(loops[0].end, bindings)
                          - evaluate_expr(loops[0].start, bindings)) if loops else 1
@@ -257,31 +277,46 @@ class SDFGExecutor:
 
     def _prepare_rank(self, rank: int, args: dict[str, Any]) -> _RankState:
         bindings: dict[str, int] = {}
-        arrays: dict[str, np.ndarray] = {}
         for name in list(self.sdfg.symbols) + self.sdfg.params:
             if name in args:
                 bindings[name] = int(args[name])
-        if self.with_data:
-            for name, desc in self.sdfg.arrays.items():
-                if desc.transient and name == FLAGS_ARRAY:
-                    continue
-                shape = tuple(evaluate_expr(s, bindings) for s in desc.shape)
-                if desc.storage is Storage.SYMMETRIC and self.nvshmem is not None:
-                    sym = self._sym_arrays.get(name)
-                    if sym is None:
-                        sym = self.nvshmem.malloc(name, shape, desc.dtype)
-                        self._sym_arrays[name] = sym
-                    view = sym.local(rank)
-                else:
-                    view = np.zeros(shape, dtype=desc.dtype)
-                if name in args:
-                    view[...] = args[name]
-                arrays[name] = view
         # flags array (allocated by MPIToNVSHMEM) -> signal words
         if self.nvshmem is not None and FLAGS_ARRAY in self.sdfg.arrays and self._signals is None:
             n_flags = evaluate_expr(self.sdfg.arrays[FLAGS_ARRAY].shape[0], bindings)
             self._signals = self.nvshmem.malloc_signals("sdfg_flags", n_flags)
-        return _RankState(rank, bindings, arrays)
+        return _RankState(rank, bindings, {})
+
+    def _bind_arrays(self, rank_args: list[dict[str, Any]], ranks: list[_RankState]) -> None:
+        """Bind every array of every rank: a passed argument *is* the
+        rank's array, the others are zero-allocated.  A symmetric array's
+        ``nvshmem_malloc`` adopts the passed arrays as its PE buffers."""
+        adopted = []
+        for name, desc in self.sdfg.arrays.items():
+            if desc.transient and name == FLAGS_ARRAY:
+                continue
+            on = [r for r, args in enumerate(rank_args) if name in args]
+            symmetric = desc.storage is Storage.SYMMETRIC
+            if symmetric and 0 < len(on) < len(rank_args):
+                raise ValueError(
+                    f"symmetric array {name!r} is passed on rank(s) {on} only: "
+                    f"every rank must pass it, or none")
+            for r in on:
+                arg = rank_args[r][name]
+                _check_argument(r, name, arg, self._shape_of(name, ranks[r].bindings),
+                                desc.dtype)
+                adopted.append((arg, r, name))
+            passed = [args.get(name) for args in rank_args]
+            if symmetric and self.nvshmem is not None:
+                passed += [None] * (self.nvshmem.n_pes - len(passed))
+                sym = self._sym_arrays[name] = self.nvshmem.malloc(
+                    name, self._shape_of(name, ranks[0].bindings), desc.dtype, data=passed)
+                for rs in ranks:
+                    rs.arrays[name] = sym.local(rs.rank)
+            else:
+                for rs, arg in zip(ranks, passed):
+                    rs.arrays[name] = (arg if arg is not None else
+                                       np.zeros(self._shape_of(name, rs.bindings), desc.dtype))
+        _check_disjoint(adopted)
 
     def _shape_of(self, name: str, bindings: dict[str, int]) -> tuple[int, ...]:
         desc = self.sdfg.arrays[name]
@@ -588,6 +623,33 @@ class SDFGExecutor:
                     TBGroup("comp", total - comm_blocks, make_group("comp"))]
 
         return self._host_program(rs, groups)
+
+
+def _check_argument(rank: int, name: str, arg: Any, shape: tuple[int, ...],
+                    dtype: type) -> None:
+    """In-place binding takes only what the rank's array could be."""
+    want = f"a writeable {np.dtype(dtype)} ndarray of shape {shape}"
+    if not isinstance(arg, np.ndarray):
+        raise ValueError(f"rank {rank}: array {name!r} must be {want}, "
+                         f"got {type(arg).__name__}")
+    if arg.shape != shape or arg.dtype != dtype or not arg.flags.writeable:
+        got = f"{'' if arg.flags.writeable else 'read-only '}{arg.dtype} {arg.shape}"
+        raise ValueError(f"rank {rank}: array {name!r} must be {want}, got {got}")
+
+
+def _check_disjoint(adopted: list[tuple[np.ndarray, int, str]]) -> None:
+    """Reject two ``(array, rank, name)`` arguments that may share memory:
+    a write to one would land in the other.  Sorted by first byte, an
+    array overlaps an earlier one iff it starts before the furthest end
+    seen so far (the bounds test of ``np.may_share_memory``)."""
+    furthest = None  # (past-the-end byte, rank, name)
+    for lo, hi, rank, name in sorted((*byte_bounds(a), r, n) for a, r, n in adopted if a.size):
+        if furthest is not None and lo < furthest[0]:
+            raise ValueError(
+                f"rank {rank}: array {name!r} may share memory with rank "
+                f"{furthest[1]}'s array {furthest[2]!r}; pass distinct arrays")
+        if furthest is None or hi > furthest[0]:
+            furthest = (hi, rank, name)
 
 
 def _take_all(pending: list) -> list:

@@ -69,6 +69,23 @@ class TestAllocation:
         buf = mm.alloc(0, "n", (3, 3), dtype=np.float32)
         assert buf.nbytes == 36
 
+    def test_alloc_adopts_data(self, mm):
+        data = np.arange(6.0)
+        buf = mm.alloc(1, "adopted", 6, data=data)
+        assert buf.data is data
+        assert mm.used_bytes(1) == 48
+
+    @pytest.mark.parametrize("data", [np.zeros(5), np.zeros(6, dtype=np.float32)])
+    def test_alloc_rejects_mismatched_data(self, mm, data):
+        with pytest.raises(ValueError, match="cannot adopt"):
+            mm.alloc(0, "a", (6,), data=data)
+        assert mm.used_bytes(0) == 0
+
+    def test_capacity_enforced_on_adopted_data(self):
+        mm = MemoryManager(num_gpus=1, capacity_bytes=100)
+        with pytest.raises(MemoryError):
+            mm.alloc(0, "big", (20,), data=np.zeros(20))
+
 
 class TestPeerAccess:
     def test_local_access_always_ok(self, mm):

@@ -29,6 +29,17 @@ class TestSymmetricArray:
         with pytest.raises(ValueError):
             rt.malloc("a", (2,))
 
+    def test_malloc_adopts_per_pe_data(self, rt):
+        data = [np.full(4, pe + 1.0) for pe in range(3)] + [None]
+        arr = rt.malloc("grid", (4,), data=data)
+        assert [arr.local(pe) is data[pe] for pe in range(3)] == [True] * 3
+        assert np.all(arr.local(3) == 0.0)
+        assert [rt.ctx.memory.used_bytes(pe) for pe in range(4)] == [32] * 4
+
+    def test_malloc_needs_one_data_entry_per_pe(self, rt):
+        with pytest.raises(ValueError, match="2 PE arrays for 4 PEs"):
+            rt.malloc("grid", (4,), data=[np.zeros(4), np.zeros(4)])
+
     def test_local_returns_backing_array(self, rt):
         arr = rt.malloc("grid", (4,), fill=2.0)
         assert np.all(arr.local(1) == 2.0)

@@ -45,7 +45,7 @@ from repro.perf import warm
 from repro.perf.batch import register_batchable
 from repro.sim import Tracer
 from repro.stencil import StencilConfig, run_variant
-from repro.stencil.batch import run_batched_stencil
+from repro.stencil.batch import run_batched_stencil, stackable
 
 __all__ = [
     "DEFAULT_GPU_COUNTS",
@@ -153,19 +153,14 @@ def _stencil_point(variant: str, config: StencilConfig) -> Row:
 def _stencil_group_key(args: tuple):
     """Batch-group key for :func:`_stencil_point`: everything except
     ``global_shape`` — points in one group run fused as a stack of
-    domain sizes.  Faulted and data-carrying points never batch, and
-    neither do hierarchical (multi-NVSwitch-domain) ones: rail links
-    price transfers against in-flight occupancy on the *pilot* clock,
-    which under a vector clock would misprice the other members."""
+    domain sizes, when :func:`stackable` admits their config."""
     variant, config = args
-    if config.with_data or config.fault_profile is not None:
+    if not stackable(config):
         return None
     if variant == "auto_overlap":
         # the variant picks its schedule from the global shape
         # (choose_schedule), so members of a stacked run would not
         # share one chunking — run these points individually
-        return None
-    if config.node.scaled_to(config.num_gpus).is_hierarchical:
         return None
     rest = tuple(
         (f.name, getattr(config, f.name))

@@ -2,9 +2,11 @@
 
 The vector-carrying simulation core (:mod:`repro.sim.stacked`,
 :mod:`repro.stencil.batch`) executes a *stack* of structurally
-identical sweep points in one discrete-event run.  This module is the
-scheduling layer that decides which points may share a stack: a worker
-function registers a :class:`BatchAdapter` and the
+identical sweep points in one discrete-event run.  Two workers register
+adapters: the figure suite's ``_stencil_point`` stacks ``global_shape``
+and :func:`repro.tune.trial_point` stacks the thread-block split.  This
+module is the scheduling layer that decides which points may share a
+stack: a worker function registers a :class:`BatchAdapter` and the
 :class:`~repro.perf.sweep.SweepRunner` consults it to partition the
 cache-miss points into groups, run each group fused, and fall back to
 the ordinary per-point path whenever a group diverges.
@@ -65,5 +67,7 @@ def register_batchable(
 
 
 def adapter_for(fn: Callable) -> BatchAdapter | None:
-    """The registered adapter for ``fn``, or ``None``."""
-    return _ADAPTERS.get(fn)
+    """The registered adapter for ``fn``, or ``None``.  A wrapper made
+    with :func:`functools.wraps` (a profiler's boundary hook) batches as
+    the function it wraps."""
+    return _ADAPTERS.get(getattr(fn, "__wrapped__", fn))

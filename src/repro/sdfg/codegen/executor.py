@@ -26,8 +26,10 @@ subgraph edges computed by the transform.
 Arguments bind by reference, as a DaCe SDFG call binds them: each
 ndarray a rank passes *is* that rank's array, and the run writes its
 results into it.  A symmetric (``GPU_NVSHMEM``) array's collective
-``nvshmem_malloc`` adopts the ranks' arguments as its PE buffers.  Only
-arrays no rank passes (outputs, transients) are allocated, zero-filled.
+``nvshmem_malloc`` adopts the ranks' arguments as its PE buffers; every
+other array is adopted by its rank's ``MemoryManager``, so all of them
+count in ``used_bytes`` and against the device's capacity.  Only arrays
+no rank passes (outputs, transients) are allocated, zero-filled.
 ``run`` raises ``ValueError``, naming the rank and the array, on an
 argument it cannot bind in place: one that is not a writeable ndarray
 of the declared shape and dtype, two that may share memory (in one rank
@@ -289,7 +291,8 @@ class SDFGExecutor:
     def _bind_arrays(self, rank_args: list[dict[str, Any]], ranks: list[_RankState]) -> None:
         """Bind every array of every rank: a passed argument *is* the
         rank's array, the others are zero-allocated.  A symmetric array's
-        ``nvshmem_malloc`` adopts the passed arrays as its PE buffers."""
+        ``nvshmem_malloc`` adopts the passed arrays as its PE buffers,
+        and the rank's memory manager adopts every other array."""
         adopted = []
         for name, desc in self.sdfg.arrays.items():
             if desc.transient and name == FLAGS_ARRAY:
@@ -314,8 +317,14 @@ class SDFGExecutor:
                     rs.arrays[name] = sym.local(rs.rank)
             else:
                 for rs, arg in zip(ranks, passed):
-                    rs.arrays[name] = (arg if arg is not None else
-                                       np.zeros(self._shape_of(name, rs.bindings), desc.dtype))
+                    shape = self._shape_of(name, rs.bindings)
+                    if arg is None:
+                        # np.zeros maps zero pages lazily; fill=0.0 would
+                        # write every one of them
+                        arg = np.zeros(shape, desc.dtype)
+                    rs.arrays[name] = self.ctx.memory.alloc(
+                        rs.rank, name, shape, desc.dtype, desc.storage,
+                        data=arg).data
         _check_disjoint(adopted)
 
     def _shape_of(self, name: str, bindings: dict[str, int]) -> tuple[int, ...]:

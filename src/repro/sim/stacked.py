@@ -1,8 +1,9 @@
 """Stacked scalars: the value plane of the batched execution backend.
 
 A *batched* run executes B structurally identical sweep points (same
-variant, topology, iteration count — differing only in domain size)
-through ONE discrete-event simulation.  Every quantity that differs
+variant, topology, iteration count — differing only in domain size,
+or only in an auto-overlap schedule's thread-block split) through ONE
+discrete-event simulation.  Every quantity that differs
 across the stacked points is carried as a small fixed-width vector:
 
 ``BatchVal``

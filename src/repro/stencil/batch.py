@@ -1,16 +1,21 @@
 """Batched stencil execution: one simulation for a stack of sweep points.
 
 A *batch group* is a set of timing-only stencil points that differ only
-in ``global_shape`` (same variant, GPU count, iterations, cost model,
-...).  Such points run the same event structure — the same processes
-taking the same steps in the same order — with different numeric
-latencies.  :func:`run_batched_stencil` executes the whole group in a
-single discrete-event simulation whose clock carries one component per
-member (:mod:`repro.sim.stacked`), then demultiplexes the vector-valued
+in one set of numbers: ``global_shape`` for the figure sweeps (same
+variant, GPU count, iterations, cost model, ...), or the thread-block
+split of an auto-overlap schedule for the tuner's trials.  Such points
+run the same event structure — the same processes taking the same
+steps in the same order — with different numeric latencies.
+:func:`run_stacked` executes one such group in a single
+discrete-event simulation whose clock carries one component per member
+(:mod:`repro.sim.stacked`), then demultiplexes the vector-valued
 timeline and totals back into per-point
 :class:`~repro.stencil.base.StencilResult` objects that are
-byte-identical to what the per-point path produces.  A batched run
-records no metrics: the sweep runner runs metered sweeps per point.
+byte-identical to what the per-point path produces.
+:func:`run_batched_stencil` is its domain-size entry point;
+:mod:`repro.tune` stacks the split and calls :func:`run_stacked`
+itself.  A batched run records no metrics: the sweep runner runs
+metered sweeps per point.
 
 Any control-flow decision that would differ across members raises
 :class:`~repro.sim.stacked.BatchDivergence`; the sweep scheduler
@@ -21,7 +26,7 @@ so batching is strictly an optimization, never a semantic change.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.obs.metrics import use_metrics
 from repro.sim.stacked import (
@@ -32,9 +37,21 @@ from repro.sim.stacked import (
     stacked_val,
 )
 from repro.sim.trace import Tracer, merge_intervals
-from repro.stencil.base import VARIANTS, StencilConfig, StencilResult
+from repro.stencil.base import VARIANTS, StencilConfig, StencilResult, StencilVariant
 
-__all__ = ["batch_stencil_config", "demux_tracer", "joint_total", "run_batched_stencil"]
+__all__ = ["batch_stencil_config", "demux_tracer", "joint_total",
+           "run_batched_stencil", "run_stacked", "stackable"]
+
+
+def stackable(config: StencilConfig) -> bool:
+    """Whether a point at ``config`` may join a stacked run.  Faulted
+    and data-carrying points never do (fault RNG substreams are
+    per-point), and neither do hierarchical (multi-NVSwitch-domain)
+    ones: rail links price transfers against in-flight occupancy on the
+    *pilot* clock, which under a vector clock would misprice the other
+    members."""
+    return not (config.with_data or config.fault_profile is not None
+                or config.node.scaled_to(config.num_gpus).is_hierarchical)
 
 
 def batch_stencil_config(configs: Sequence[StencilConfig]) -> StencilConfig:
@@ -152,7 +169,6 @@ def run_batched_stencil(
     precondition or member control flow diverges mid-run — callers fall
     back to per-point execution.
     """
-    B = len(configs)
     base = configs[0]
     if base.with_data:
         raise BatchDivergence("with_data points are not batchable")
@@ -166,22 +182,34 @@ def run_batched_stencil(
         # replace() re-resolved an ambient fault profile into the copy
         raise BatchDivergence("ambient fault profile active")
 
+    return run_stacked(lambda: VARIANTS[variant_name](cfg), configs)
+
+
+def run_stacked(build: Callable[[], StencilVariant],
+                configs: Sequence[StencilConfig]) -> list[StencilResult]:
+    """The fused run itself: build one variant whose stacked quantities
+    carry ``len(configs)`` members, simulate it once, and demux one
+    :class:`StencilResult` per member (``configs[i]`` is member ``i``'s
+    own configuration).
+
+    Mirrors :meth:`StencilVariant.run` step for step; the one difference
+    is that totals and trace come out vector-valued and are
+    demultiplexed instead of consumed directly.  The variant is built
+    and run with no metrics registry active.
+    """
     with use_metrics(None):
-        variant = VARIANTS[variant_name](cfg)
+        variant = build()
         sim = variant.ctx.sim
-        # Mirror StencilVariant.run() step for step; the one difference
-        # is that totals and trace come out vector-valued and are
-        # demultiplexed below instead of consumed directly.
         variant.setup()
-        for rank in range(cfg.num_gpus):
+        for rank in range(variant.config.num_gpus):
             sim.spawn(variant.host_program(rank),
                       name=f"{variant.name}.host{rank}")
         total = joint_total(variant.ctx, variant.ctx.run())
 
+    B = len(configs)
     tracers = demux_tracer(variant.tracer, B)
-    totals = members(total, B)
     return [
-        StencilResult(variant=variant_name, config=configs[i],
-                      total_time_us=totals[i], tracer=tracers[i])
-        for i in range(B)
+        StencilResult(variant=variant.name, config=config,
+                      total_time_us=total_i, tracer=tracer)
+        for config, total_i, tracer in zip(configs, members(total, B), tracers)
     ]

@@ -160,19 +160,20 @@ class AutoOverlap(CPUFree):
         bounds = [2]
         for nrows in _chunk_rows(rows - 4, chunks):
             bounds.append(bounds[-1] + nrows)
+        tilings = [
+            cost.tiling_factor((hi - lo) * row_elements, resident)
+            if self.tiling_limited else 1.0
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
 
         def body(dev, grid: GridBarrier) -> Generator[Any, Any, None]:
             for it in range(1, self.config.iterations + 1):
                 for j in range(chunks):
                     lo, hi = bounds[j], bounds[j + 1]
-                    tiling = (
-                        cost.tiling_factor((hi - lo) * row_elements, resident)
-                        if self.tiling_limited else 1.0
-                    )
                     yield from self.compute_layers(
                         dev, rank, it, lo, hi,
                         fraction_of_device=plan.inner_fraction,
-                        tiling_factor=tiling,
+                        tiling_factor=tilings[j],
                         perks_residency=self.inner_perks_residency,
                         name=f"inner_chunk{j}",
                     )

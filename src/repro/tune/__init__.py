@@ -7,9 +7,12 @@ alone.  This package *refines* that guess by measuring: it sweeps
 (chunk count × TB-specialization split × boundary fusion) candidates
 per (app, topology, size) through the :mod:`repro.perf` runner, so
 every trial is an ordinary sweep point — fanned out over ``--jobs``
-worker processes and cached on disk by content key.  Re-running the
-tuner on an unchanged repo replays every trial from the cache (zero
-misses) and re-emits byte-identical schedule JSON.
+worker processes, cached on disk by content key, and batched: trials
+that differ only in their TB split run as one vector-clock simulation
+that stacks the splits (:mod:`repro.perf.batch`), with per-trial
+results and cache entries identical to running each alone.
+Re-running the tuner on an unchanged repo replays every trial from the
+cache (zero misses) and re-emits byte-identical schedule JSON.
 
 Determinism contract: the candidate grid is a pure function of the
 configuration (priority-ordered, deduplicated, budget-truncated), the
@@ -42,7 +45,10 @@ from repro.bench.figures import (
 )
 from repro.core.specialization import SpecializationPlan
 from repro.perf import SweepRunner, active_runner, completed, use_runner
+from repro.perf.batch import register_batchable
+from repro.sim.stacked import BatchDivergence, stacked_val
 from repro.stencil.base import StencilConfig
+from repro.stencil.batch import run_stacked, stackable
 from repro.stencil.variants.auto_overlap import (
     CHUNK_CANDIDATES,
     AutoOverlap,
@@ -112,11 +118,61 @@ def trial_point(schedule: OverlapSchedule, config: StencilConfig) -> dict:
     ``qualname + repr(args) + source digest``, so ``(schedule, config)``
     is the trial's cache identity.
     """
-    res = AutoOverlap(config, schedule).run()
+    return _trial_row(AutoOverlap(config, schedule).run())
+
+
+def _trial_row(res) -> dict:
     return {
         "per_iteration_us": res.per_iteration_us,
         "overlap_ratio": res.overlap_ratio,
     }
+
+
+def _trial_split(schedule: OverlapSchedule, config: StencilConfig) -> int | None:
+    """The boundary block count per side ``schedule`` runs with: its
+    override, else the §4.1.2 formula split when every rank gets the
+    same one (``None`` when the ranks differ)."""
+    if schedule.boundary_tb_per_side is not None:
+        return schedule.boundary_tb_per_side
+    probe = AutoOverlap(config, schedule)
+    splits = {probe.specialization(rank).boundary_tb_per_side
+              for rank in range(config.num_gpus)}
+    return splits.pop() if len(splits) == 1 else None
+
+
+def _trial_group_key(args: tuple):
+    """Batch-group key for :func:`trial_point`: the schedule minus its
+    TB split — points in one group run fused as a stack of splits, when
+    :func:`~repro.stencil.batch.stackable` admits their config and the
+    split is one number: a formula split that varies across ranks is
+    not, since one stacked value cannot carry it."""
+    schedule, config = args
+    if not stackable(config) or _trial_split(schedule, config) is None:
+        return None
+    return (schedule.chunks, schedule.fuse_boundary, config)
+
+
+def _run_trial_group(argtuples) -> list[dict]:
+    """Fused group runner: one vector-clock simulation whose schedule
+    stacks the group's distinct splits (members that resolve to the
+    same split share one), demuxed into each point's trial dict."""
+    schedule, config = argtuples[0]
+    key = _trial_group_key(argtuples[0])
+    if key is None or any(_trial_group_key(args) != key
+                          for args in argtuples[1:]):
+        raise BatchDivergence("group members differ beyond the TB split")
+    splits = [_trial_split(*args) for args in argtuples]
+    distinct = sorted(set(splits))
+    stacked = replace(schedule, boundary_tb_per_side=(
+        stacked_val(distinct) if len(distinct) > 1 else distinct[0]))
+    results = run_stacked(lambda: AutoOverlap(config, stacked),
+                          [config] * len(distinct))
+    by_split = dict(zip(distinct, results))
+    return [_trial_row(by_split[split]) for split in splits]
+
+
+register_batchable(trial_point, group_key=_trial_group_key,
+                   run=_run_trial_group)
 
 
 def autotune_tb_split(config: StencilConfig, *,
@@ -125,7 +181,8 @@ def autotune_tb_split(config: StencilConfig, *,
 
     The search runs timing-only regardless of ``config.with_data``, one
     :func:`trial_point` per candidate through the active runner (so
-    ``--jobs`` and the result cache apply).  Returns the empirically
+    ``--jobs``, the result cache and batching apply: the candidates
+    differ only in their split, so they form one batch group).  Returns the empirically
     best plan alongside the formula's plan, which is always among the
     measured candidates.
     """

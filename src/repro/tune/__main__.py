@@ -96,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     if cache is not None:
         print(f"(sweep cache: {runner.hits} hit(s), {runner.misses} miss(es) "
               f"in {args.cache_dir})")
+    print(f"(batched execution: {runner.batch_points} point(s) fused into "
+          f"{runner.batch_groups} run(s), {runner.batch_fallbacks} "
+          f"fallback(s))")
     return 0
 
 

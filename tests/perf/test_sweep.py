@@ -5,6 +5,8 @@ The load-bearing guarantee: fanning sweep points over worker processes
 the figure report.
 """
 
+import functools
+
 import numpy as np
 
 import repro.perf.sweep as sweep_mod
@@ -165,6 +167,19 @@ class TestBatchingUnderMetrics:
         assert runner.batch_fallbacks == 0
         assert rows == SweepRunner(jobs=1, batch=False).map(
             _stencil_point, _small_tasks())
+
+
+    def test_wrapped_worker_still_fuses(self):
+        """A profiler's ``functools.wraps`` hook around a worker keeps
+        the worker's batch adapter."""
+        @functools.wraps(_stencil_point)
+        def hooked(*args):
+            return _stencil_point(*args)
+
+        runner = SweepRunner(jobs=1, batch=True)
+        assert runner.map(hooked, _small_tasks()) == SweepRunner(
+            jobs=1, batch=False).map(_stencil_point, _small_tasks())
+        assert (runner.batch_groups, runner.batch_points) == (2, 4)
 
 
 _CALLS = []

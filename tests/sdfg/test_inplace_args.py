@@ -68,6 +68,30 @@ def test_adopted_buffers_count_against_every_pe():
     assert not ex.nvshmem.heap.get("A").local(3).any()
 
 
+def _args_64():
+    """jacobi_1d at N=64 on 2 ranks: two 34-element float64 slabs per
+    rank, 544 bytes."""
+    u0 = np.random.default_rng(3).random(66)
+    return SlabDecomposition1D(64, 2).rank_args(u0, 4)
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_arrays_count_against_their_rank(pipeline):
+    """GLOBAL arrays (the baseline pipeline's) go through the memory
+    manager as symmetric ones do: the same bytes on every rank."""
+    ex = executor(pipeline)
+    ex.run(_args_64())
+    assert [ex.ctx.memory.used_bytes(r) for r in range(2)] == [544, 544]
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_capacity_enforced_on_bound_arrays(pipeline):
+    ex = executor(pipeline)
+    ex.ctx.memory.capacity_bytes = 543
+    with pytest.raises(MemoryError, match="exceeds capacity"):
+        ex.run(_args_64())
+
+
 def test_sanitizer_tracks_adopted_arrays():
     args = args_1d()
     ctx = MultiGPUContext(HGX_A100_8GPU.scaled_to(2), tracer=Tracer())

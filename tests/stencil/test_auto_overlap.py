@@ -5,7 +5,8 @@ import pytest
 
 from repro.obs.stablejson import dumps_stable
 from repro.obs.timeline import pe_phases
-from repro.perf import ResultCache, SweepRunner
+from repro.perf import ResultCache, SweepRunner, use_runner
+from repro.sim.stacked import BatchDivergence
 from repro.stencil.base import VARIANTS, StencilConfig
 from repro.stencil.variants.auto_overlap import (
     CHUNK_CANDIDATES,
@@ -15,6 +16,7 @@ from repro.stencil.variants.auto_overlap import (
     model_inner_time_us,
 )
 from repro.stencil.runner import run_variant
+import repro.tune as tune_mod
 from repro.tune import (
     autotune_tb_split,
     candidate_splits,
@@ -181,6 +183,109 @@ class TestTune:
         assert table["wins"] + table["ties"] + table["losses"] == 2
         for point in table["points"]:
             assert point["outcome"] in ("win", "tie", "loss")
+
+
+class TestBatchedTrials:
+    """``trial_point`` points that differ only in their TB split run as
+    one vector-clock simulation, with the per-point results exactly."""
+
+    @staticmethod
+    def _tune_all(batch, configs):
+        runner = SweepRunner(batch=batch)
+        payloads = [dumps_stable(schedule_payload(
+            tune(size, gpus, budget=budget, runner=runner)))
+            for size, gpus, budget in configs]
+        return payloads, (runner.batch_groups, runner.batch_points,
+                          runner.batch_fallbacks)
+
+    def test_schedule_payload_equal_under_batching_small(self):
+        on, tally = self._tune_all(True, [("small", 2, None)])
+        assert on == self._tune_all(False, [("small", 2, None)])[0]
+        assert tally[1] > 0 and tally[2] == 0
+
+    def test_schedule_payload_equal_under_batching_tools_configs(self):
+        """The benchmark's two tunes: 18 of their 28 trials differ only
+        in the split, in three groups."""
+        configs = [("medium", 8, 16), ("large", 8, 12)]
+        on, tally = self._tune_all(True, configs)
+        off, off_tally = self._tune_all(False, configs)
+        assert on == off
+        assert tally == (3, 18, 0)
+        assert off_tally == (0, 0, 0)
+
+    @pytest.mark.parametrize("shape", [(256 + 2, 258), (4 * 8 + 2, 130, 130)],
+                             ids=["2d", "3d-thin-slab"])
+    def test_autotune_measurements_equal_under_batching(self, shape):
+        config = StencilConfig(global_shape=shape, num_gpus=8, iterations=4,
+                               with_data=False)
+        reports = []
+        for batch in (True, False):
+            runner = SweepRunner(batch=batch)
+            with use_runner(runner):
+                reports.append(autotune_tb_split(config, iterations=4))
+            assert (runner.batch_groups == 1) is batch
+        assert reports[0].measurements == reports[1].measurements
+        assert reports[0].best == reports[1].best
+
+    @pytest.mark.parametrize("schedule, config", [
+        (OverlapSchedule(1, 2), _config(with_data=True)),
+        (OverlapSchedule(1, 2), _config(with_data=False,
+                                        fault_profile="transient@3")),
+        (OverlapSchedule(1, 2), _config((16 * 4 + 2, 258), gpus=16,
+                                        with_data=False)),
+        # 13 interior rows over 4 ranks: the formula split varies by rank
+        (OverlapSchedule(1), _config((15, 1026, 1026), with_data=False)),
+    ], ids=["with-data", "faulted", "hierarchical", "split-varies-by-rank"])
+    def test_group_key_none_for_unbatchable_points(self, schedule, config):
+        assert tune_mod._trial_group_key((schedule, config)) is None
+
+    def test_none_split_resolves_to_the_formula_split(self):
+        """``OverlapSchedule(k)`` joins the group of its explicit splits
+        and runs as the formula's split, so it can share a member."""
+        config = _config(with_data=False)
+        formula = AutoOverlap(config, OverlapSchedule(2)).specialization(0)
+        assert tune_mod._trial_split(OverlapSchedule(2), config) \
+            == formula.boundary_tb_per_side
+        assert tune_mod._trial_group_key((OverlapSchedule(2), config)) \
+            == tune_mod._trial_group_key((OverlapSchedule(2, 5), config)) \
+            == (2, False, config)
+
+    def test_divergent_group_falls_back(self, monkeypatch):
+        expected = dumps_stable(schedule_payload(
+            tune("large", 8, 6, budget=12, runner=SweepRunner(batch=False))))
+
+        def diverge(build, configs):
+            raise BatchDivergence("forced")
+
+        monkeypatch.setattr(tune_mod, "run_stacked", diverge)
+        runner = SweepRunner(batch=True)
+        got = dumps_stable(schedule_payload(
+            tune("large", 8, 6, budget=12, runner=runner)))
+        assert got == expected
+        assert (runner.batch_groups, runner.batch_points,
+                runner.batch_fallbacks) == (0, 0, 1)
+
+    def test_batched_cache_replays_unbatched(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        filled = SweepRunner(cache=cache, batch=True)
+        first = tune("medium", 8, 6, budget=16, runner=filled)
+        assert filled.batch_points > 0
+        replay = SweepRunner(cache=cache, batch=False)
+        second = tune("medium", 8, 6, budget=16, runner=replay)
+        assert replay.misses == 0
+        assert replay.hits == len(second.trials) + 1
+        assert dumps_stable(schedule_payload(first)) \
+            == dumps_stable(schedule_payload(second))
+
+    def test_cli_prints_batch_line(self, capsys, tmp_path):
+        out = tmp_path / "schedule.json"
+        assert tune_main(["--size", "small", "--gpus", "2", "--iterations",
+                          "4", "--budget", "8", "--no-cache",
+                          "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("(batched execution: ")
+        assert lines[-1].endswith(" 0 fallback(s))")
+        assert "batched" not in out.read_text()
 
 
 class TestCandidates:
